@@ -1,7 +1,5 @@
 #include "jobs/budget.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 
 namespace plurality::jobs {
@@ -14,60 +12,6 @@ ThreadBudget& ThreadBudget::global() {
 void ThreadBudget::configure(unsigned total) {
   PC_EXPECTS(total >= 1);
   limit_.store(total, std::memory_order_relaxed);
-  const std::int64_t outstanding =
-      outstanding_.load(std::memory_order_relaxed);
-  available_.store(
-      std::max<std::int64_t>(0, static_cast<std::int64_t>(total) - 1 -
-                                    outstanding),
-      std::memory_order_relaxed);
-}
-
-void ThreadBudget::reset_unlimited() {
-  limit_.store(0, std::memory_order_relaxed);
-  available_.store(kUnlimited - outstanding_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-}
-
-unsigned ThreadBudget::acquire(unsigned want) noexcept {
-  if (want == 0) return 0;
-  std::int64_t current = available_.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::int64_t grant =
-        std::min<std::int64_t>(want, std::max<std::int64_t>(0, current));
-    if (grant == 0) return 0;
-    if (available_.compare_exchange_weak(current, current - grant,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-      outstanding_.fetch_add(grant, std::memory_order_relaxed);
-      return static_cast<unsigned>(grant);
-    }
-  }
-}
-
-void ThreadBudget::release(unsigned granted) noexcept {
-  if (granted == 0) return;
-  const std::int64_t outstanding =
-      outstanding_.fetch_sub(granted, std::memory_order_relaxed) - granted;
-  const unsigned limit = limit_.load(std::memory_order_relaxed);
-  if (limit == 0) {
-    available_.fetch_add(granted, std::memory_order_acq_rel);
-    return;
-  }
-  // Under a cap, returned tokens are clamped to limit - 1 - outstanding:
-  // a reconfigure that lowered the cap below what was already granted
-  // must not see the excess come back into circulation.
-  const std::int64_t cap = std::max<std::int64_t>(
-      0, static_cast<std::int64_t>(limit) - 1 - outstanding);
-  std::int64_t current = available_.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::int64_t next =
-        std::min<std::int64_t>(current + granted, cap);
-    if (available_.compare_exchange_weak(current, next,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-      return;
-    }
-  }
 }
 
 }  // namespace plurality::jobs

@@ -1,79 +1,47 @@
 #pragma once
 
 /// \file budget.hpp
-/// The worker-budget handshake between the process-wide job executor
-/// (src/jobs/executor.hpp) and the per-run shard worker pools
-/// (sim/sharded_engine.hpp): `--jobs=N` caps the TOTAL number of
-/// threads the process may run, and every subsystem that spawns
-/// threads acquires them from this budget instead of assuming it owns
-/// the machine.
+/// The process-wide `--jobs=` cap: the total number of threads the
+/// process may run, the main thread included. The process executor
+/// (src/jobs/executor.hpp) is the only code that creates threads, so
+/// the cap is enforced where it is configured — set_process_concurrency
+/// builds the executor with `limit() - 1` workers — and nothing has to
+/// be handed out or returned at run time. Sharded runs fan their shard
+/// epochs out as fork-join work on that same executor.
 ///
-/// Accounting model (static tokens):
-///   - the budget starts with `total - 1` tokens — the main thread is
-///     the implicit first thread;
-///   - the process executor acquires one token per worker for its
-///     whole lifetime (parked workers keep their token: the cap is a
-///     hard ceiling on thread count, not a load-balancing device);
-///   - each detail::ShardWorkerPool acquires up to `shards - 1` tokens
-///     at construction and multiplexes its shards over the granted
-///     lanes (the calling thread always runs one lane for free), so a
-///     sharded run under an exhausted budget degrades to running its
-///     shards sequentially on the caller — bit-identical results,
-///     fewer threads — instead of oversubscribing.
-/// An unconfigured budget is unlimited, which preserves the historical
-/// behavior of library users (tests, examples) that never pass --jobs.
-///
-/// acquire() never blocks and may grant less than requested (including
-/// zero); callers must be correct with any grant. release() returns
-/// exactly what acquire() granted.
+/// An unconfigured cap is unlimited (limit() == 0), which preserves the
+/// historical behavior of library users (tests, examples) that never
+/// pass --jobs: the process executor then sizes itself to the hardware.
 
 #include <atomic>
-#include <cstdint>
 
 namespace plurality::jobs {
 
 class ThreadBudget {
  public:
-  /// An unlimited budget (the default-constructed state).
+  /// An unlimited cap (the default-constructed state).
   ThreadBudget() = default;
   ThreadBudget(const ThreadBudget&) = delete;
   ThreadBudget& operator=(const ThreadBudget&) = delete;
 
-  /// The process-wide budget every thread-spawning subsystem consults.
+  /// The process-wide cap.
   static ThreadBudget& global();
 
   /// Sets the cap to `total` threads including the calling (main)
-  /// thread; `total` >= 1. Outstanding grants are preserved: the new
-  /// pool of available tokens is `total - 1 - outstanding`, clamped at
-  /// zero. Call from one thread, with no acquire/release racing it
-  /// (the experiment harness reconfigures only between runs).
+  /// thread; `total` >= 1.
   void configure(unsigned total);
 
   /// Removes the cap (the default). Test hook.
-  void reset_unlimited();
+  void reset_unlimited() noexcept {
+    limit_.store(0, std::memory_order_relaxed);
+  }
 
   /// The configured cap; 0 when unlimited.
   unsigned limit() const noexcept {
     return limit_.load(std::memory_order_relaxed);
   }
 
-  /// Grants between 0 and `want` tokens, never blocking.
-  unsigned acquire(unsigned want) noexcept;
-
-  /// Returns tokens obtained from acquire(). `granted` must not exceed
-  /// what this caller still holds.
-  void release(unsigned granted) noexcept;
-
-  /// Tokens currently available (advisory — racy by nature).
-  std::int64_t available() const noexcept {
-    return available_.load(std::memory_order_relaxed);
-  }
-
  private:
-  static constexpr std::int64_t kUnlimited = INT64_C(1) << 40;
-
-  std::atomic<std::int64_t> available_{kUnlimited};
-  std::atomic<std::int64_t> outstanding_{0};
   std::atomic<unsigned> limit_{0};
 };
 

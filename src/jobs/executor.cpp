@@ -108,13 +108,7 @@ constexpr unsigned kMaxMigrate = 32;  // steal-half cap per scavenge
 
 }  // namespace
 
-Executor::Executor(unsigned workers, ThreadBudget* budget)
-    : budget_(budget) {
-  if (budget_ != nullptr) {
-    budget_granted_ = budget_->acquire(workers);
-    workers = budget_granted_;
-  }
-  workers_.resize(workers);
+Executor::Executor(unsigned workers) : workers_(workers) {
   for (auto& worker : workers_) {
     worker.deque = std::make_unique<detail::WorkDeque>();
   }
@@ -132,7 +126,6 @@ Executor::~Executor() {
   for (auto& worker : workers_) {
     if (worker.thread.joinable()) worker.thread.join();
   }
-  if (budget_ != nullptr) budget_->release(budget_granted_);
 }
 
 void Executor::submit(JobGraph& graph) {
@@ -173,8 +166,7 @@ void Executor::wait(JobGraph& graph) {
     // Completion notifies done_cv_; the timeout lets the caller resume
     // helping when workers release new continuations. This is the
     // caller's completion barrier — time spent here is the DAG's tail
-    // imbalance, traced as a barrier wait like the shard pools' epoch
-    // barrier.
+    // imbalance, traced as a barrier wait like parallel_for's join.
     const bool traced = trace::enabled();
     const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
     graph.done_cv_.wait_for(lock, std::chrono::milliseconds(10), [&] {
@@ -194,6 +186,116 @@ void Executor::wait(JobGraph& graph) {
     }
     if (error) std::rethrow_exception(error);
   }
+}
+
+namespace detail {
+
+/// One open parallel_for, on the caller's stack. Workers join it while
+/// it is registered in Executor::forks_ (under park_mutex_); the caller
+/// unregisters it once its own claims run dry and then waits only for
+/// the helpers that joined — they hold indices already started.
+struct ForkJoin {
+  ForkJoin(std::size_t n, const std::function<void(std::size_t)>& f)
+      : count(n), fn(f) {}
+
+  bool claimable() const noexcept {
+    return next.load(std::memory_order_relaxed) < count;
+  }
+
+  /// Claims and runs indices until none is left.
+  void drain() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      if (failed.load(std::memory_order_relaxed)) continue;
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (!failed.exchange(true, std::memory_order_relaxed)) {
+          error = std::current_exception();
+        }
+      }
+    }
+  }
+
+  /// A helper's exit. Under the mutex: once the caller sees zero
+  /// helpers it may return and destroy this object.
+  void leave() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (--helpers == 0) helpers_left.notify_one();
+  }
+
+  const std::size_t count;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};  // next unclaimed index
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // the first throw, guarded by mutex
+  std::size_t helpers = 0;   // joined helpers still draining
+  std::mutex mutex;
+  std::condition_variable helpers_left;
+};
+
+}  // namespace detail
+
+void Executor::parallel_for(std::size_t count,
+                            const std::function<void(std::size_t)>& fn) {
+  if (count <= 1 || workers_.empty()) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  detail::ForkJoin fork(count, fn);
+  {
+    const std::lock_guard<std::mutex> lock(park_mutex_);
+    forks_.push_back(&fork);
+    open_forks_.fetch_add(1, std::memory_order_relaxed);
+  }
+  const std::size_t wanted = std::min<std::size_t>(count - 1, workers());
+  for (std::size_t h = 0; h < wanted; ++h) park_cv_.notify_one();
+  fork.drain();
+  {
+    const std::lock_guard<std::mutex> lock(park_mutex_);
+    forks_.erase(std::find(forks_.begin(), forks_.end(), &fork));
+    open_forks_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  // No helper can join any more. The join is the epoch barrier of a
+  // sharded run: time spent here is imbalance across the indices the
+  // helpers still run.
+  const bool traced = trace::enabled();
+  const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
+  bool waited = false;
+  {
+    std::unique_lock<std::mutex> lock(fork.mutex);
+    waited = fork.helpers != 0;
+    fork.helpers_left.wait(lock, [&] { return fork.helpers == 0; });
+  }
+  if (traced && waited) {
+    trace::local_sink().barrier_wait(wait_t0, trace::now_ns() - wait_t0);
+  }
+  if (fork.error) std::rethrow_exception(fork.error);
+}
+
+detail::ForkJoin* Executor::join_fork() {
+  if (open_forks_.load(std::memory_order_relaxed) == 0) return nullptr;
+  const std::lock_guard<std::mutex> lock(park_mutex_);
+  for (detail::ForkJoin* fork : forks_) {
+    if (!fork->claimable()) continue;
+    const std::lock_guard<std::mutex> fork_lock(fork->mutex);
+    ++fork->helpers;
+    return fork;
+  }
+  return nullptr;
+}
+
+bool Executor::fork_claimable() const {
+  return std::any_of(forks_.begin(), forks_.end(),
+                     [](const detail::ForkJoin* fork) {
+                       return fork->claimable();
+                     });
+}
+
+unsigned Executor::worker_index() const noexcept {
+  return tl_worker.executor == this ? tl_worker.index : workers();
 }
 
 void Executor::enqueue(JobGraph::Node* node) {
@@ -298,38 +400,65 @@ void Executor::finish(JobGraph::Node* node) {
       enqueue(&dependent);
     }
   }
+  // Decrement under done_mutex_, where wait() checks remaining_: a
+  // waiter that sees zero may destroy the graph at once, so the last
+  // finisher must be done with it (mutex included) by then.
+  const std::lock_guard<std::mutex> lock(graph.done_mutex_);
   if (graph.remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    const std::lock_guard<std::mutex> lock(graph.done_mutex_);
     graph.done_cv_.notify_all();
   }
 }
 
 void Executor::worker_loop(unsigned index) {
   tl_worker = WorkerSlot{this, index};
+  // A park span is recorded only once the wake leads to work, inside
+  // that work's completion order: a wake that finds nothing (its job
+  // or fork was taken meanwhile) must not write to the trace while the
+  // run that caused it may already be over and its sinks reset.
+  std::int64_t park_t0 = 0;
+  std::int64_t park_ns = -1;
+  const auto record_park = [&] {
+    if (park_ns >= 0 && trace::enabled()) {
+      trace::local_sink().park(park_t0, park_ns);
+    }
+    park_ns = -1;
+  };
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return;
+    detail::ForkJoin* fork = nullptr;
     JobGraph::Node* node = nullptr;
-    for (int round = 0; round < kSpinRounds && node == nullptr; ++round) {
-      node = try_get(index);
+    for (int round = 0; round < kSpinRounds; ++round) {
+      // Open forks first: they are a running epoch's join.
+      if ((fork = join_fork()) != nullptr) break;
+      if ((node = try_get(index)) != nullptr) break;
+    }
+    if (fork != nullptr) {
+      record_park();
+      fork->drain();
+      fork->leave();
+      continue;
     }
     if (node != nullptr) {
+      record_park();
       execute(node);
       continue;
     }
-    // Park-span trace: the stop_ wake is shutdown (and may race static
-    // destruction of the trace registry), so only wakes that lead back
-    // into work are recorded.
     const bool traced = trace::enabled();
-    const std::int64_t park_t0 = traced ? trace::now_ns() : 0;
+    const std::int64_t t0 = traced ? trace::now_ns() : 0;
     {
+      // A fork turns claimable only by registering under park_mutex_
+      // (and notifying); its claims only ever turn it unclaimable, so
+      // reading them outside the mutex cannot lose a wakeup.
       std::unique_lock<std::mutex> lock(park_mutex_);
       park_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_relaxed) ||
-               ready_.load(std::memory_order_relaxed) > 0;
+               ready_.load(std::memory_order_relaxed) > 0 ||
+               fork_claimable();
       });
     }
-    if (traced && !stop_.load(std::memory_order_acquire)) {
-      trace::local_sink().park(park_t0, trace::now_ns() - park_t0);
+    if (traced) {
+      park_t0 = t0;
+      park_ns = trace::now_ns() - t0;
     }
   }
 }
@@ -340,8 +469,9 @@ std::mutex g_process_mutex;
 std::unique_ptr<Executor> g_process_executor;
 
 unsigned default_process_workers() {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return hw - 1;
+  const unsigned limit = ThreadBudget::global().limit();
+  if (limit != 0) return limit - 1;
+  return std::max(1u, std::thread::hardware_concurrency()) - 1;
 }
 
 }  // namespace
@@ -349,8 +479,7 @@ unsigned default_process_workers() {
 Executor& Executor::process() {
   const std::lock_guard<std::mutex> lock(g_process_mutex);
   if (!g_process_executor) {
-    g_process_executor = std::make_unique<Executor>(
-        default_process_workers(), &ThreadBudget::global());
+    g_process_executor = std::make_unique<Executor>(default_process_workers());
   }
   return *g_process_executor;
 }
@@ -360,9 +489,8 @@ void Executor::set_process_workers(unsigned workers) {
   if (g_process_executor && g_process_executor->workers() == workers) {
     return;
   }
-  g_process_executor.reset();  // release budget tokens before reacquiring
-  g_process_executor =
-      std::make_unique<Executor>(workers, &ThreadBudget::global());
+  g_process_executor.reset();  // join the old workers before spawning
+  g_process_executor = std::make_unique<Executor>(workers);
 }
 
 void set_process_concurrency(unsigned total) {

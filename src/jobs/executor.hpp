@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file executor.hpp
-/// A process-wide work-stealing job executor, the scheduling substrate
-/// behind whole-sweep parallelism in the experiment layer (see
-/// experiment/runner.hpp): sweeps become DAGs of (sweep-point, rep)
-/// jobs on ONE pool of workers, so small jobs pack many runs per core
-/// while the per-run shard pools fan out under the same --jobs= budget
-/// (src/jobs/budget.hpp).
+/// A process-wide work-stealing job executor, the one scheduler of the
+/// process: sweeps become DAGs of (sweep-point, rep) jobs (see
+/// experiment/runner.hpp), and a sharded run fans each epoch's shards
+/// out as a fork-join (parallel_for) on the same workers, so small jobs
+/// pack many runs per core and big runs spread over the cores, all
+/// under one --jobs= cap (src/jobs/budget.hpp). The executor's workers
+/// are the only threads src/ creates.
 ///
 /// Scheduling design:
 ///   - one Chase–Lev deque per worker (lock-free owner push/pop at the
@@ -35,10 +36,22 @@
 /// every job inline on the caller in release order: the serial path,
 /// which is what the scheduling-determinism tests compare against.
 ///
+/// Fork-join: Executor::parallel_for(count, fn) registers an open fork
+/// that idle workers join — ahead of queued jobs — claiming indices
+/// alongside the caller. When the caller's claims run dry it closes the
+/// fork and waits only for the workers that joined, i.e. for indices
+/// some thread has already started. It never runs another job while it
+/// waits: the stack depth stays bounded, and a fork-join issued from
+/// inside a job finishes even when every worker is busy elsewhere (the
+/// caller then claims every index itself) — an epoch never waits
+/// behind a foreign run. No helper outlives the call, so nothing a
+/// fork-join causes runs after it returns.
+///
 /// Shutdown is RAII: the destructor stops the workers after their
 /// in-flight job, joins them, and DROPS any still-queued work — a
 /// graph abandoned this way never reports done, so destroy the
-/// executor only when no thread is left inside wait().
+/// executor only when no thread is left inside wait() or
+/// parallel_for().
 ///
 /// Determinism contract (what the experiment layer builds on): the
 /// executor schedules; it never touches job payloads. Any computation
@@ -50,6 +63,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -110,15 +124,14 @@ class WorkDeque {
   std::vector<std::unique_ptr<Array>> retired_;  // owner-side
 };
 
+struct ForkJoin;  // one open parallel_for (executor.cpp)
+
 }  // namespace detail
 
 class Executor {
  public:
-  /// Spawns `workers` worker threads. With a non-null `budget` the
-  /// worker count is first clamped to what the budget grants (the
-  /// process executor passes ThreadBudget::global(); tests pass
-  /// nothing and get exactly what they ask for).
-  explicit Executor(unsigned workers, ThreadBudget* budget = nullptr);
+  /// Spawns `workers` worker threads.
+  explicit Executor(unsigned workers);
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
   ~Executor();
@@ -143,8 +156,25 @@ class Executor {
     wait(graph);
   }
 
+  /// Runs fn(i) for every i in [0, count) and returns once all have
+  /// finished; callable from any thread, including from inside a job.
+  /// The caller claims indices alongside the idle workers that join
+  /// and waits only for indices already started, never running another
+  /// job meanwhile (see the file header). With zero workers or
+  /// count <= 1 every index runs inline, in order. The first exception
+  /// thrown by fn is rethrown after the join; indices claimed after it
+  /// are skipped. Which thread runs which index is unspecified, so fn
+  /// must not key results on thread identity.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
+
+  /// The calling thread's index among this executor's workers, or
+  /// workers() when the caller is not one of them (e.g. main).
+  unsigned worker_index() const noexcept;
+
   /// The process-wide executor (created on first use with
-  /// hardware_concurrency - 1 workers, clamped by the global budget).
+  /// ThreadBudget::global().limit() - 1 workers, or
+  /// hardware_concurrency - 1 when the cap is unset).
   static Executor& process();
 
   /// Rebuilds the process executor with `workers` threads if it differs
@@ -165,10 +195,10 @@ class Executor {
   JobGraph::Node* try_get(unsigned self_index);
   JobGraph::Node* pop_injected();
   JobGraph::Node* steal_from_workers(unsigned self_index, bool migrate);
+  detail::ForkJoin* join_fork();
+  bool fork_claimable() const;  // caller holds park_mutex_
 
   std::vector<Worker> workers_;
-  ThreadBudget* budget_ = nullptr;
-  unsigned budget_granted_ = 0;
 
   // Injection queue: submissions from non-worker threads.
   std::mutex inject_mutex_;
@@ -183,6 +213,12 @@ class Executor {
   std::condition_variable park_cv_;
   std::atomic<std::int64_t> ready_{0};
   std::atomic<bool> stop_{false};
+
+  // Open parallel_for calls, guarded by park_mutex_ so a parking
+  // worker's wake predicate sees every registration; open_forks_
+  // mirrors the size for a lock-free "none open" check.
+  std::vector<detail::ForkJoin*> forks_;
+  std::atomic<std::size_t> open_forks_{0};
 };
 
 /// Configures the process-wide concurrency from a resolved --jobs=

@@ -56,9 +56,7 @@ namespace plurality {
 /// concentrated around the mean.
 ///
 /// kFireAndForget posts a fresh query on every tick regardless of
-/// outstanding answers — the §4-style semantics, and the discipline
-/// the sharded engine's constant-latency epoch fold approximates
-/// (updates at full tick rate from c-stale reads).
+/// outstanding answers — the §4-style semantics.
 ///
 /// Lives here (not in core/delayed.hpp) because both the delayed
 /// protocol variants and the sharded engine's delivery-queue driver
@@ -126,9 +124,8 @@ class ZeroLatency final : public LatencyModel {
 };
 
 /// Every response takes exactly `mean` time units. The degenerate
-/// endpoint of the positive-aging family (all mass at one point); also
-/// the model the sharded engine can fold into its epoch schedule
-/// exactly (see sharded_engine.hpp). Draws no RNG.
+/// endpoint of the positive-aging family (all mass at one point).
+/// Draws no RNG.
 class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(double mean) : mean_(mean) {
@@ -274,13 +271,6 @@ struct LatencySpec {
 
   std::unique_ptr<LatencyModel> make() const {
     return make_latency_model(kind, mean, shape);
-  }
-
-  /// True when the sharded engine can fold this model into its epoch
-  /// schedule instead of falling back to the messaging driver (see
-  /// run_sharded_latency in engine_select.hpp).
-  bool foldable_into_sharded() const noexcept {
-    return kind == LatencyKind::kZero || kind == LatencyKind::kConstant;
   }
 };
 

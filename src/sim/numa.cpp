@@ -1,6 +1,9 @@
 #include "sim/numa.hpp"
 
+#include <algorithm>
 #include <thread>
+
+#include "jobs/executor.hpp"
 
 #ifdef __linux__
 #include <sched.h>
@@ -8,18 +11,11 @@
 
 namespace plurality::numa {
 
-bool bind_supported() noexcept {
+void pin_worker([[maybe_unused]] const jobs::Executor& executor) noexcept {
 #ifdef __linux__
-  return true;
-#else
-  return false;
-#endif
-}
-
-void pin_lane([[maybe_unused]] unsigned lane,
-              [[maybe_unused]] unsigned lanes) noexcept {
-#ifdef __linux__
-  if (lanes == 0) return;
+  const unsigned lanes = executor.workers() + 1;
+  const unsigned lane = executor.worker_index() + 1;
+  if (lane >= lanes) return;  // not one of the executor's workers
   const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
   const unsigned cpu =
       static_cast<unsigned>((static_cast<std::uint64_t>(lane) * ncpu) /

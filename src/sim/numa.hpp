@@ -4,17 +4,25 @@
 /// NUMA-aware placement for the sharded engine's hot arrays, behind the
 /// `--numa=` knob:
 ///
-///   - off        — historical behavior: the main thread allocates and
-///                  initializes live/snapshot, so on a multi-socket box
-///                  every page lands on the allocating thread's node;
+///   - off        — historical behavior: the calling thread allocates
+///                  and initializes live/snapshot, so on a multi-socket
+///                  box every page lands on the allocating thread's node;
 ///   - firsttouch — live/snapshot (and each shard's delta row) are
-///                  allocated *uninitialized* and first written by the
-///                  worker lane that owns the shard range, so the OS
-///                  places each page on the node that will hammer it;
-///   - bind       — firsttouch plus explicit worker pinning: lane k is
-///                  pinned to CPU floor(k * ncpu / lanes), spreading
-///                  lanes evenly across the topology so first-touch
-///                  placement stays stable for the whole run.
+///                  allocated *uninitialized* and each shard's ranges are
+///                  first written by that shard's init job on the
+///                  process executor, so the OS places those pages on
+///                  the node of whichever thread ran the job;
+///   - bind       — firsttouch plus pinning: a process-executor worker
+///                  that runs an init job first pins itself — worker w
+///                  to CPU floor((w + 1) * ncpu / (workers + 1)), the
+///                  main thread being lane 0 and never pinned — and it
+///                  stays pinned for the executor's lifetime, not just
+///                  the run.
+///
+/// Locality is best effort: the executor fixes no shard-to-worker
+/// mapping, so a later epoch's shard may run on another worker than the
+/// one that first touched its pages. (A deterministic affinity hint
+/// waits for a NUMA host to measure it on.)
 ///
 /// All three modes are trajectory-neutral: placement and pinning never
 /// touch an RNG stream, so results stay bit-identical across modes (the
@@ -29,10 +37,14 @@
 
 namespace plurality {
 
+namespace jobs {
+class Executor;
+}
+
 enum class NumaMode : std::uint8_t {
-  kOff,         ///< main-thread allocation + initialization (historical)
-  kFirstTouch,  ///< shard-local arrays first written by the owning lane
-  kBind,        ///< first-touch + explicit lane-to-CPU pinning (Linux)
+  kOff,         ///< calling-thread allocation + initialization (historical)
+  kFirstTouch,  ///< shard ranges first written by their init jobs
+  kBind,        ///< first-touch + pinning the executor's workers (Linux)
 };
 
 inline const char* numa_mode_name(NumaMode mode) noexcept {
@@ -56,15 +68,13 @@ inline NumaMode parse_numa_mode(const std::string& name) {
 
 namespace numa {
 
-/// True when explicit thread pinning is available on this platform
-/// (Linux). `bind` silently behaves like `firsttouch` elsewhere.
-bool bind_supported() noexcept;
-
-/// Pins the calling thread to one CPU chosen by spreading `lanes`
-/// evenly over the online CPUs (lane k -> CPU floor(k * ncpu / lanes)).
-/// No-op off-Linux or when pinning fails (a restricted affinity mask is
-/// not an error — the knob is best-effort).
-void pin_lane(unsigned lane, unsigned lanes) noexcept;
+/// Pins the calling thread when it is one of `executor`'s workers:
+/// worker w is lane w + 1 of workers() + 1, spread evenly over the
+/// online CPUs. A thread the executor does not own is left alone —
+/// constraining it would outlive the run. No-op off-Linux or when
+/// pinning fails (a restricted affinity mask is not an error — the knob
+/// is best-effort).
+void pin_worker(const jobs::Executor& executor) noexcept;
 
 }  // namespace numa
 

@@ -16,18 +16,20 @@
 ///   - reads its own nodes *live* and foreign nodes from the epoch-start
 ///     snapshot (at most one epoch stale),
 ///   - accumulates a per-color support delta and a changed-node log.
-/// At the epoch barrier the deltas are merged into the shared
-/// OpinionTable (O(changes + colors), see
+/// At the epoch join the deltas are merged serially, in shard order,
+/// into the shared OpinionTable (O(changes + colors), see
 /// OpinionTable::merge_shard_deltas), the snapshot absorbs the changes,
 /// and done() is polled; the observer fires at `sample_every`
-/// boundaries as in the other engines. The workers are a persistent
-/// pool parked at the epoch barrier (detail::ShardWorkerPool) — epochs
-/// are far too short to amortize a thread spawn. The pool draws its
-/// threads from the process-wide --jobs= budget (src/jobs/budget.hpp):
-/// it asks for shards - 1 workers and multiplexes the shards over
-/// whatever lanes the budget grants plus the calling thread, so the
-/// shard count (and with it the trajectory) never depends on how many
-/// threads were actually available.
+/// boundaries as in the other engines.
+///
+/// Scheduling: each epoch's shards run as one fork-join on the process
+/// executor (jobs::Executor::parallel_for) — the caller claims shards
+/// alongside helper jobs on the executor's workers, so a run nested in
+/// a sweep leaf shares the same --jobs= threads as the sweep, and
+/// under --jobs=1 every shard runs inline on the caller. The shard
+/// count keys the trajectory (per-shard RNG streams, ranges, merge
+/// order); which thread runs which shard never does, so results are
+/// bit-identical for every worker count.
 ///
 /// Memory layout (opinion/packed.hpp): the engine's live and snapshot
 /// color arrays are *packed* at the table's resolved u8/u16/u32 width
@@ -46,9 +48,9 @@
 ///     one scalar draw per tick. Statistically equivalent, not
 ///     bit-identical — the default stays scalar so baselines survive;
 ///   - numa (--numa=off|firsttouch|bind): first-touch initialization
-///     of live/snapshot/delta arrays on the owning worker lane, and
-///     optional explicit lane pinning (sim/numa.hpp). Trajectory-
-///     neutral; off-Linux, bind degrades to firsttouch;
+///     of live/snapshot/delta arrays in per-shard executor jobs, and
+///     optional pinning of the executor's workers (sim/numa.hpp).
+///     Trajectory-neutral; off-Linux, bind degrades to firsttouch;
 ///   - exact_reads (--exact-reads): replaces the epoch-stale foreign
 ///     reads with a distribution-*exact* two-phase schedule — see
 ///     run_sharded_exact below — trading parallel tick application for
@@ -58,40 +60,30 @@
 /// the shard's RNG), so the engine runs on *any* GraphTopology — the
 /// clique, and every factory family, ideally through the flat
 /// graph/csr.hpp view, which shares one immutable structure across all
-/// shard workers.
+/// shard jobs.
 ///
 /// The foreign-read staleness is the one deliberate deviation from the
 /// exact process; shrinking `epoch_length` shrinks it (at the cost of
 /// more barriers), `exact_reads` removes it entirely, and the engine
 /// equivalence tests pin the consensus-time agreement statistically.
 ///
-/// Edge latencies (sim/latency.hpp) integrate in two ways:
-///   - run_sharded can *fold* a constant latency c into its epoch
-///     schedule by setting `epoch_length` = 2c and enabling
-///     `snapshot_reads` — every neighbor read then comes from the
-///     epoch-start snapshot, i.e. from state whose age is uniform on
-///     [0, 2c) with mean c (the fire-and-forget approximation; see
-///     run_sharded_latency in engine_select.hpp for the precise claim);
-///   - run_sharded_queued runs *any* sampleable model (const, exp,
-///     pareto, aging) exactly, via per-shard delivery queues: a query's
-///     answer carries the colors read at query time and is applied at
-///     query + delay, under the blocking or fire-and-forget discipline.
-///     The querier and the recipient of the answer are the same node,
-///     so deliveries never cross shards and the epoch merge stays
-///     deterministic.
+/// Edge latencies (sim/latency.hpp) run on run_sharded_queued: any
+/// sampleable model (const, exp, pareto, aging) exactly, via per-shard
+/// delivery queues — a query's answer carries the colors read at query
+/// time and is applied at query + delay, under the blocking or
+/// fire-and-forget discipline. The querier and the recipient of the
+/// answer are the same node, so deliveries never cross shards and the
+/// epoch merge stays deterministic.
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "jobs/budget.hpp"
+#include "jobs/executor.hpp"
 #include "opinion/packed.hpp"
 #include "rng/batch.hpp"
 #include "rng/distributions.hpp"
@@ -176,148 +168,6 @@ concept DelayedShardableProtocol =
 
 namespace detail {
 
-/// The persistent worker pool behind both sharded drivers, parked at a
-/// generation-counter barrier between epochs (epochs are short —
-/// default 0.25 time units — so spawning threads per epoch would
-/// dominate the per-tick cost). `work(shard_index)` is invoked once
-/// per shard per run_epoch() call; it must not throw (the engines
-/// capture errors into their per-shard state and rethrow after the
-/// barrier).
-///
-/// Worker-budget handshake: at construction the pool acquires up to
-/// `shards - 1` threads from the process-wide jobs::ThreadBudget and
-/// multiplexes the shards over `granted + 1` lanes — the calling
-/// thread always runs lane 0, worker thread k runs lane k, and lane L
-/// executes shards L, L + lanes, L + 2*lanes, ... sequentially. The
-/// shard count (which keys the trajectory: per-shard RNG streams,
-/// ranges, merge order) is therefore decoupled from the thread count:
-/// under an exhausted budget (--jobs=1, or every token held by the
-/// executor) the pool degrades to running all shards on the caller,
-/// bit-identically. With one shard — or zero granted lanes — the work
-/// runs inline and no worker is spawned.
-///
-/// Under NumaMode::kBind each *worker* thread pins itself to one CPU
-/// spread evenly over the box before first parking (numa::pin_lane);
-/// the calling thread is never pinned — constraining the caller would
-/// outlive the run. Pinning is trajectory-neutral.
-class ShardWorkerPool {
- public:
-  ShardWorkerPool(std::uint64_t shards,
-                  std::function<void(std::uint64_t)> work,
-                  NumaMode numa = NumaMode::kOff)
-      : work_(std::move(work)), shards_(shards), numa_(numa) {
-    if (shards <= 1) return;
-    granted_ = jobs::ThreadBudget::global().acquire(
-        static_cast<unsigned>(shards - 1));
-    lanes_ = granted_ + 1;
-    if (granted_ == 0) return;  // caller multiplexes every shard
-    workers_.reserve(granted_);
-    for (unsigned lane = 1; lane <= granted_; ++lane) {
-      workers_.emplace_back([this, lane] { worker_loop(lane); });
-    }
-  }
-
-  ShardWorkerPool(const ShardWorkerPool&) = delete;
-  ShardWorkerPool& operator=(const ShardWorkerPool&) = delete;
-
-  ~ShardWorkerPool() {
-    if (!workers_.empty()) {
-      {
-        const std::lock_guard lock(mutex_);
-        stopping_ = true;
-      }
-      work_cv_.notify_all();
-      for (auto& worker : workers_) worker.join();
-    }
-    jobs::ThreadBudget::global().release(granted_);
-  }
-
-  /// The number of lanes the shards are multiplexed over (granted
-  /// workers + the calling thread); 1 when everything runs inline.
-  unsigned lanes() const noexcept { return lanes_; }
-
-  /// Runs the work on every shard and blocks until all are done. Any
-  /// state the work reads (epoch length, buffers) must be written by
-  /// the caller before this call; the barrier's mutex orders those
-  /// writes before the workers' reads. The caller contributes lane 0
-  /// while the workers run theirs.
-  void run_epoch() {
-    if (shards_ <= 1) {
-      work_(0);
-      return;
-    }
-    if (workers_.empty()) {
-      for (std::uint64_t s = 0; s < shards_; ++s) work_(s);
-      return;
-    }
-    {
-      const std::lock_guard lock(mutex_);
-      pending_ = workers_.size();
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    run_lane(0);
-    // The caller's barrier wait is the headline contention signal:
-    // time lane 0 sits here is load imbalance across the lanes.
-    const bool traced = trace::enabled();
-    const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
-    {
-      std::unique_lock lock(mutex_);
-      done_cv_.wait(lock, [&] { return pending_ == 0; });
-    }
-    if (traced) {
-      trace::local_sink().barrier_wait(wait_t0,
-                                       trace::now_ns() - wait_t0);
-    }
-  }
-
- private:
-  void run_lane(unsigned lane) {
-    for (std::uint64_t s = lane; s < shards_; s += lanes_) work_(s);
-  }
-
-  void worker_loop(unsigned lane) {
-    if (numa_ == NumaMode::kBind) numa::pin_lane(lane, lanes_);
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        // Workers park here between epochs; the teardown wake
-        // (stopping_) is shutdown, not contention, and is not recorded.
-        const bool traced = trace::enabled();
-        const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
-        std::unique_lock lock(mutex_);
-        work_cv_.wait(lock,
-                      [&] { return stopping_ || generation_ != seen; });
-        if (stopping_) return;
-        seen = generation_;
-        lock.unlock();
-        if (traced) {
-          trace::local_sink().barrier_wait(wait_t0,
-                                           trace::now_ns() - wait_t0);
-        }
-      }
-      run_lane(lane);  // work_ never throws; errors land in engine state
-      {
-        const std::lock_guard lock(mutex_);
-        if (--pending_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  std::function<void(std::uint64_t)> work_;
-  std::uint64_t shards_ = 0;
-  NumaMode numa_ = NumaMode::kOff;
-  unsigned granted_ = 0;  // budget tokens held for the pool's lifetime
-  unsigned lanes_ = 1;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t pending_ = 0;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
 /// Contiguous as-equal-as-possible shard ranges over n nodes.
 inline std::pair<NodeId, NodeId> shard_range(std::uint64_t n,
                                              std::uint64_t shard,
@@ -343,9 +193,7 @@ inline constexpr std::size_t kNodeBatch = 4096;
 
 /// The live/snapshot pair of one sharded run, built according to the
 /// NUMA mode: `off` packs both on the calling thread; the first-touch
-/// modes return *uninitialized* slabs the caller must fill through an
-/// init epoch on the worker pool (each lane packing its own shards'
-/// ranges) before the first tick epoch.
+/// modes return *uninitialized* slabs that first_touch() fills.
 struct EngineBuffers {
   PackedColors live;
   PackedColors snapshot;
@@ -365,24 +213,104 @@ inline EngineBuffers make_buffers(const PackedColors& source,
   return out;
 }
 
+/// The first-touch pass (any NumaMode but kOff): one job per shard
+/// performs the first write to the shard's ranges of live and snapshot,
+/// to its delta row, and whatever `extra(shard)` initializes, so those
+/// pages land on the NUMA node of the thread that ran the job. Under
+/// kBind an executor worker pins itself first (numa::pin_worker).
+template <typename Shard, typename Extra>
+void first_touch(jobs::Executor& executor, NumaMode mode,
+                 const PackedColors& source, EngineBuffers& buffers,
+                 ShardDeltaSlab& deltas, std::vector<Shard>& pool,
+                 Extra&& extra) {
+  if (mode == NumaMode::kOff) return;
+  executor.parallel_for(pool.size(), [&](std::size_t s) {
+    if (mode == NumaMode::kBind) numa::pin_worker(executor);
+    Shard& shard = pool[s];
+    buffers.live.copy_range_from(source, shard.lo, shard.hi);
+    buffers.snapshot.copy_range_from(buffers.live, shard.lo, shard.hi);
+    deltas.clear(s);
+    extra(shard);
+  });
+}
+
+/// The serial epoch merge, in shard order: each shard's support delta
+/// and changed-node log fold into the table, the snapshot absorbs the
+/// changes, and the per-epoch state resets. Returns the epoch's ticks.
+template <typename T, typename Shard>
+std::uint64_t merge_epoch(OpinionTable& table, EngineBuffers& buffers,
+                          ShardDeltaSlab& deltas,
+                          std::vector<Shard>& pool) {
+  const T* live = buffers.live.template data<T>();
+  T* snap = buffers.snapshot.template data<T>();
+  std::uint64_t ticks = 0;
+  for (std::uint64_t s = 0; s < pool.size(); ++s) {
+    Shard& shard = pool[s];
+    table.merge_shard_deltas(shard.changed, buffers.live, deltas.shard(s));
+    for (const NodeId u : shard.changed) snap[u] = live[u];
+    shard.changed.clear();
+    deltas.clear(s);
+    ticks += shard.ticks;
+    shard.ticks = 0;
+  }
+  return ticks;
+}
+
+/// The epoch schedule every sharded driver shares: epochs of
+/// `epoch_length`, truncated at the next sample boundary. After each
+/// epoch — every shard job joined — perturbation events up to the
+/// boundary drain through `set_color` on the calling thread, done() is
+/// polled, and the observer fires at sample boundaries.
+/// `run_epoch(t0, dt)` runs one epoch and returns its tick count.
+template <typename P, typename Obs, typename Epoch>
+AsyncRunResult run_epochs(P& proto, double max_time, Obs&& obs,
+                          double sample_every, double epoch_length,
+                          Perturber* perturb,
+                          const Perturber::SetColor& set_color,
+                          Epoch&& run_epoch) {
+  const auto running = [&] {
+    return !(proto.done() &&
+             (perturb == nullptr || perturb->exhausted()));
+  };
+  AsyncRunResult result;
+  double now = 0.0;
+  obs(now, proto);
+  while (now < max_time && running()) {
+    const double sample_end = std::min(now + sample_every, max_time);
+    while (now < sample_end && running()) {
+      const double dt = std::min(epoch_length, sample_end - now);
+      if (!(dt > 0.0)) break;  // floating-point residue at the boundary
+      result.ticks += run_epoch(now, dt);
+      now += dt;
+      if (perturb != nullptr && perturb->next_time() <= now) {
+        perturb->drain_until(now, proto.table(), set_color);
+      }
+    }
+    if (now < max_time && running()) obs(now, proto);
+  }
+  result.time = proto.done() ? now : max_time;
+  obs(result.time, proto);
+  result.consensus = proto.table().has_consensus();
+  if (result.consensus) result.winner = proto.table().consensus_color();
+  return result;
+}
+
 /// The width-typed body of run_sharded (dispatched once per run on the
 /// table's resolved width; see run_sharded below for the contract).
 template <typename T, typename P, typename Obs>
 AsyncRunResult run_sharded_impl(P& proto, std::uint64_t seed,
                                 std::uint64_t shards, double max_time,
                                 Obs&& obs, double sample_every,
-                                double epoch_length, bool snapshot_reads,
-                                Perturber* perturb,
+                                double epoch_length, Perturber* perturb,
                                 const EngineTuning& tuning) {
   const std::uint64_t n = proto.num_nodes();
-  const ColorId num_colors = proto.table().num_colors();
   const bool batch = tuning.sampling == SamplingMode::kBatch;
-  const bool first_touch = tuning.numa != NumaMode::kOff;
+  jobs::Executor& executor = jobs::Executor::process();
 
   EngineBuffers buffers = make_buffers(proto.table().packed_colors(),
                                        tuning.numa);
-  // Deltas stay zero-initialized by the owner lane under first-touch.
-  ShardDeltaSlab deltas(shards, num_colors, /*deferred_init=*/first_touch);
+  ShardDeltaSlab deltas(shards, proto.table().num_colors(),
+                        /*deferred_init=*/tuning.numa != NumaMode::kOff);
 
   struct alignas(64) Shard {
     NodeId lo = 0;
@@ -391,7 +319,6 @@ AsyncRunResult run_sharded_impl(P& proto, std::uint64_t seed,
     std::vector<NodeId> changed;
     std::vector<NodeId> node_buf;  // batch mode: bounded draw buffer
     std::uint64_t ticks = 0;
-    std::exception_ptr error;
   };
   const SeedSequence streams(seed);
   std::vector<Shard> pool(shards);
@@ -407,171 +334,88 @@ AsyncRunResult run_sharded_impl(P& proto, std::uint64_t seed,
       pool[s].node_buf.resize(kNodeBatch);
     }
   }
+  first_touch(executor, tuning.numa, proto.table().packed_colors(),
+              buffers, deltas, pool, [](Shard&) {});
 
-  bool initializing = first_touch;
-  double epoch_dt = 0.0;  // written before each barrier, read by workers
-  const auto init_shard = [&](std::uint64_t s) {
-    // First touch: the owning lane performs the first write to its
-    // ranges of live, snapshot and the delta row, so their pages land
-    // on the lane's NUMA node.
-    try {
-      const Shard& shard = pool[s];
-      buffers.live.copy_range_from(proto.table().packed_colors(), shard.lo,
-                                   shard.hi);
-      buffers.snapshot.copy_range_from(buffers.live, shard.lo, shard.hi);
-      deltas.clear(s);
-    } catch (...) {
-      pool[s].error = std::current_exception();
-    }
-  };
-  const auto run_epoch_in = [&](std::uint64_t s) {
+  double epoch_dt = 0.0;  // written before each fork, read by the jobs
+  const std::function<void(std::size_t)> epoch_job = [&](std::size_t s) {
     Shard& shard = pool[s];
-    try {
-      const bool traced = trace::enabled();
-      const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-      const double dt = epoch_dt;
-      const std::uint64_t n_s = shard.hi - shard.lo;
-      const std::uint64_t ticks =
-          poisson(shard.rng, static_cast<double>(n_s) * dt);
-      T* colors = buffers.live.template data<T>();
-      const T* snap = buffers.snapshot.template data<T>();
-      const PackedShardView<T> shard_view(colors, snap, shard.lo, shard.hi);
-      const std::span<std::int64_t> delta = deltas.shard(s);
-      std::uint64_t done = 0;
-      while (done < ticks) {
-        // Scalar mode runs one full-epoch chunk with per-tick draws;
-        // batch mode refills the node buffer through the lane-parallel
-        // block stream and consumes it in the same tick loop.
-        const std::uint64_t chunk =
-            batch ? std::min<std::uint64_t>(kNodeBatch, ticks - done)
-                  : ticks - done;
-        if (batch) {
-          blocks[s].fill_uniform_below(
-              n_s, std::span<NodeId>(shard.node_buf.data(),
-                                     static_cast<std::size_t>(chunk)));
-        }
-        for (std::uint64_t t = 0; t < chunk; ++t) {
-          const auto u = static_cast<NodeId>(
-              shard.lo + (batch ? shard.node_buf[t]
-                                : static_cast<NodeId>(
-                                      uniform_below(shard.rng, n_s))));
-          // Crashed nodes' clocks are dead: the tick is swallowed (the
-          // bitmap is stable within an epoch — drains happen between
-          // epochs on the main thread).
-          if (perturb != nullptr && !perturb->allows_tick(u)) continue;
-          // In snapshot_reads mode only the ticking node itself is read
-          // live; every neighbor read hits the epoch-start snapshot.
-          const PackedShardView<T> view =
-              snapshot_reads ? PackedShardView<T>(colors, snap, u, u + 1)
-                             : shard_view;
-          const ColorId next = proto.propose(u, view, shard.rng);
-          const ColorId old = colors[u];
-          if (next != old) {
-            colors[u] = static_cast<T>(next);
-            --delta[old];
-            ++delta[next];
-            shard.changed.push_back(u);
-          }
-        }
-        done += chunk;
+    const bool traced = trace::enabled();
+    const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
+    const std::uint64_t n_s = shard.hi - shard.lo;
+    const std::uint64_t ticks =
+        poisson(shard.rng, static_cast<double>(n_s) * epoch_dt);
+    T* colors = buffers.live.template data<T>();
+    const PackedShardView<T> view(
+        colors, buffers.snapshot.template data<T>(), shard.lo, shard.hi);
+    const std::span<std::int64_t> delta = deltas.shard(s);
+    std::uint64_t done = 0;
+    while (done < ticks) {
+      // Scalar mode runs one full-epoch chunk with per-tick draws;
+      // batch mode refills the node buffer through the lane-parallel
+      // block stream and consumes it in the same tick loop.
+      const std::uint64_t chunk =
+          batch ? std::min<std::uint64_t>(kNodeBatch, ticks - done)
+                : ticks - done;
+      if (batch) {
+        blocks[s].fill_uniform_below(
+            n_s, std::span<NodeId>(shard.node_buf.data(),
+                                   static_cast<std::size_t>(chunk)));
       }
-      shard.ticks += ticks;
-      if (traced) {
-        trace::local_sink().shard_span(
-            span_t0, trace::now_ns() - span_t0, ticks);
+      for (std::uint64_t t = 0; t < chunk; ++t) {
+        const auto u = static_cast<NodeId>(
+            shard.lo + (batch ? shard.node_buf[t]
+                              : static_cast<NodeId>(
+                                    uniform_below(shard.rng, n_s))));
+        // Crashed nodes' clocks are dead: the tick is swallowed (the
+        // bitmap is stable within an epoch — drains happen between
+        // epochs, after the join).
+        if (perturb != nullptr && !perturb->allows_tick(u)) continue;
+        const ColorId next = proto.propose(u, view, shard.rng);
+        const ColorId old = colors[u];
+        if (next != old) {
+          colors[u] = static_cast<T>(next);
+          --delta[old];
+          ++delta[next];
+          shard.changed.push_back(u);
+        }
       }
-    } catch (...) {
-      shard.error = std::current_exception();
+      done += chunk;
+    }
+    shard.ticks += ticks;
+    if (traced) {
+      trace::local_sink().shard_span(span_t0, trace::now_ns() - span_t0,
+                                     ticks);
     }
   };
 
-  detail::ShardWorkerPool workers(
-      shards,
-      [&](std::uint64_t s) {
-        if (initializing) {
-          init_shard(s);
-        } else {
-          run_epoch_in(s);
-        }
+  // Perturbation drains write table + live + snapshot together so the
+  // next epoch's live and snapshot reads agree.
+  return run_epochs(
+      proto, max_time, std::forward<Obs>(obs), sample_every, epoch_length,
+      perturb,
+      [&](NodeId u, ColorId c) {
+        proto.mutable_table().set_color(u, c);
+        buffers.live.set(u, c);
+        buffers.snapshot.set(u, c);
       },
-      tuning.numa);
-  const auto rethrow_shard_errors = [&] {
-    for (auto& shard : pool) {
-      if (shard.error) std::rethrow_exception(shard.error);
-    }
-  };
-  if (first_touch) {
-    workers.run_epoch();  // the init epoch: pack ranges on owner lanes
-    initializing = false;
-    rethrow_shard_errors();
-  }
-
-  AsyncRunResult result;
-  const auto run_epoch = [&](double dt) {
-    epoch_dt = dt;
-    workers.run_epoch();
-    rethrow_shard_errors();
-    OpinionTable& table = proto.mutable_table();
-    T* live = buffers.live.template data<T>();
-    T* snap = buffers.snapshot.template data<T>();
-    for (std::uint64_t s = 0; s < shards; ++s) {
-      Shard& shard = pool[s];
-      table.merge_shard_deltas(shard.changed, buffers.live,
-                               deltas.shard(s));
-      for (const NodeId u : shard.changed) snap[u] = live[u];
-      shard.changed.clear();
-      deltas.clear(s);
-      result.ticks += shard.ticks;
-      shard.ticks = 0;
-    }
-  };
-
-  // Perturbation drains run here on the main thread, workers parked:
-  // writes go to table + live + snapshot together so the next epoch's
-  // live and snapshot reads agree.
-  const auto apply_perturbations = [&](double t) {
-    if (perturb == nullptr || perturb->next_time() > t) return;
-    perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
-      proto.mutable_table().set_color(u, c);
-      buffers.live.set(u, c);
-      buffers.snapshot.set(u, c);
-    });
-  };
-  const auto running = [&] {
-    return !(proto.done() &&
-             (perturb == nullptr || perturb->exhausted()));
-  };
-
-  double now = 0.0;
-  obs(now, proto);
-  while (now < max_time && running()) {
-    const double sample_end = std::min(now + sample_every, max_time);
-    while (now < sample_end && running()) {
-      const double dt = std::min(epoch_length, sample_end - now);
-      if (!(dt > 0.0)) break;  // floating-point residue at the boundary
-      run_epoch(dt);
-      now += dt;
-      apply_perturbations(now);
-    }
-    if (now < max_time && running()) obs(now, proto);
-  }
-  result.time = proto.done() ? now : max_time;
-  obs(result.time, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
+      [&](double, double dt) {
+        epoch_dt = dt;
+        executor.parallel_for(shards, epoch_job);
+        return merge_epoch<T>(proto.mutable_table(), buffers, deltas, pool);
+      });
 }
 
 /// The distribution-exact sharded schedule (EngineTuning::exact_reads):
 /// every epoch splits into two phases.
 ///
-///   Phase 1 (parallel, worker pool): each shard draws its Poisson
-///   tick *count* for the epoch, then one (time, node) pair per tick —
-///   time uniform on [t0, t0 + dt) (arrivals of a Poisson process
-///   conditioned on their count are iid uniform), node uniform in the
-///   shard — and sorts its pairs by time.
+///   Phase 1 (parallel, one executor job per shard): each shard draws
+///   its Poisson tick *count* for the epoch, then one (time, node) pair
+///   per tick — time uniform on [t0, t0 + dt) (arrivals of a Poisson
+///   process conditioned on their count are iid uniform), node uniform
+///   in the shard — and sorts its pairs by time.
 ///
-///   Phase 2 (serial, main thread): the per-shard streams are k-way
+///   Phase 2 (serial, calling thread): the per-shard streams are k-way
 ///   merged in nondecreasing time (ties broken by shard index;
 ///   probability zero) and each tick's propose() runs against the
 ///   *fully live* table — no snapshot, no staleness — drawing protocol
@@ -587,14 +431,14 @@ AsyncRunResult run_sharded_impl(P& proto, std::uint64_t seed,
 /// path. Perturbations drain in exact event order, as on the
 /// single-stream engines. Deterministic for a fixed (seed, shards,
 /// epoch_length). Batch sampling does not compose with this mode (the
-/// registry rejects the flag pair).
+/// registry rejects the flag pair); NumaMode has no arrays to place.
 template <typename P, typename Obs>
 AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
                                  std::uint64_t shards, double max_time,
                                  Obs&& obs, double sample_every,
-                                 double epoch_length, Perturber* perturb,
-                                 const EngineTuning& tuning) {
+                                 double epoch_length, Perturber* perturb) {
   const std::uint64_t n = proto.num_nodes();
+  jobs::Executor& executor = jobs::Executor::process();
 
   struct Event {
     double time;
@@ -605,7 +449,6 @@ AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
     NodeId hi = 0;
     Xoshiro256 rng{0};
     std::vector<Event> events;
-    std::exception_ptr error;
   };
   const SeedSequence streams(seed);
   std::vector<Shard> pool(shards);
@@ -614,58 +457,50 @@ AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
     pool[s].rng = streams.make_rng(s);
   }
 
-  double epoch_t0 = 0.0;  // written before each barrier, read by workers
+  double epoch_t0 = 0.0;  // written before each fork, read by the jobs
   double epoch_dt = 0.0;
-  const auto generate_in = [&](Shard& shard) {
-    try {
-      const bool traced = trace::enabled();
-      const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-      const double t0 = epoch_t0;
-      const double dt = epoch_dt;
-      const std::uint64_t n_s = shard.hi - shard.lo;
-      const std::uint64_t ticks =
-          poisson(shard.rng, static_cast<double>(n_s) * dt);
-      shard.events.resize(ticks);
-      for (auto& event : shard.events) {
-        event.time = t0 + uniform_unit(shard.rng) * dt;
-        event.node = static_cast<NodeId>(
-            shard.lo + uniform_below(shard.rng, n_s));
-      }
-      // stable_sort: equal times (probability zero, but determinism
-      // must not hinge on it) keep their generation order.
-      std::stable_sort(
-          shard.events.begin(), shard.events.end(),
-          [](const Event& a, const Event& b) { return a.time < b.time; });
-      if (traced) {
-        trace::local_sink().shard_span(
-            span_t0, trace::now_ns() - span_t0, ticks);
-      }
-    } catch (...) {
-      shard.error = std::current_exception();
+  const std::function<void(std::size_t)> generate_job = [&](std::size_t s) {
+    Shard& shard = pool[s];
+    const bool traced = trace::enabled();
+    const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
+    const std::uint64_t n_s = shard.hi - shard.lo;
+    const std::uint64_t ticks =
+        poisson(shard.rng, static_cast<double>(n_s) * epoch_dt);
+    shard.events.resize(ticks);
+    for (auto& event : shard.events) {
+      event.time = epoch_t0 + uniform_unit(shard.rng) * epoch_dt;
+      event.node =
+          static_cast<NodeId>(shard.lo + uniform_below(shard.rng, n_s));
+    }
+    // stable_sort: equal times (probability zero, but determinism must
+    // not hinge on it) keep their generation order.
+    std::stable_sort(
+        shard.events.begin(), shard.events.end(),
+        [](const Event& a, const Event& b) { return a.time < b.time; });
+    if (traced) {
+      trace::local_sink().shard_span(span_t0, trace::now_ns() - span_t0,
+                                     ticks);
     }
   };
-
-  detail::ShardWorkerPool workers(
-      shards, [&](std::uint64_t s) { generate_in(pool[s]); }, tuning.numa);
 
   /// propose() reads through the live table: no staleness by design.
   struct LiveTableView {
     const OpinionTable* table;
     ColorId color(NodeId v) const { return table->color(v); }
   };
+  const Perturber::SetColor set_color = [&](NodeId u, ColorId c) {
+    proto.mutable_table().set_color(u, c);
+  };
 
-  AsyncRunResult result;
   std::vector<std::size_t> head(shards, 0);
   const auto run_epoch = [&](double t0, double dt) {
     epoch_t0 = t0;
     epoch_dt = dt;
-    workers.run_epoch();
-    for (auto& shard : pool) {
-      if (shard.error) std::rethrow_exception(shard.error);
-    }
+    executor.parallel_for(shards, generate_job);
     // Serial replay in event-time order against the live table.
     std::fill(head.begin(), head.end(), std::size_t{0});
     const LiveTableView view{&proto.table()};
+    std::uint64_t ticks = 0;
     for (;;) {
       std::uint64_t next_shard = shards;
       double next_time = 0.0;
@@ -679,12 +514,9 @@ AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
       }
       if (next_shard == shards) break;
       const Event event = pool[next_shard].events[head[next_shard]++];
-      ++result.ticks;
+      ++ticks;
       if (perturb != nullptr && perturb->next_time() <= event.time) {
-        perturb->drain_until(event.time, proto.table(),
-                             [&](NodeId u, ColorId c) {
-                               proto.mutable_table().set_color(u, c);
-                             });
+        perturb->drain_until(event.time, proto.table(), set_color);
       }
       if (perturb != nullptr && !perturb->allows_tick(event.node)) continue;
       const ColorId next =
@@ -694,103 +526,72 @@ AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
       }
     }
     for (auto& shard : pool) shard.events.clear();
+    return ticks;
   };
 
-  const auto apply_perturbations = [&](double t) {
-    if (perturb == nullptr || perturb->next_time() > t) return;
-    perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
-      proto.mutable_table().set_color(u, c);
-    });
-  };
-  const auto running = [&] {
-    return !(proto.done() &&
-             (perturb == nullptr || perturb->exhausted()));
-  };
-
-  double now = 0.0;
-  obs(now, proto);
-  while (now < max_time && running()) {
-    const double sample_end = std::min(now + sample_every, max_time);
-    while (now < sample_end && running()) {
-      const double dt = std::min(epoch_length, sample_end - now);
-      if (!(dt > 0.0)) break;  // floating-point residue at the boundary
-      run_epoch(now, dt);
-      now += dt;
-      apply_perturbations(now);
-    }
-    if (now < max_time && running()) obs(now, proto);
-  }
-  result.time = proto.done() ? now : max_time;
-  obs(result.time, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
+  return run_epochs(proto, max_time, std::forward<Obs>(obs), sample_every,
+                    epoch_length, perturb, set_color, run_epoch);
 }
 
 }  // namespace detail
 
 /// Runs `proto` under Poisson(1) clocks until done() or `max_time`,
-/// spread across `num_shards` threads (0 picks the hardware
+/// spread across `num_shards` shards (0 picks the hardware
 /// concurrency). Deterministic for a fixed (seed, num_shards,
-/// epoch_length, snapshot_reads, tuning) tuple. done() is polled at
-/// epoch boundaries only, so a run can overshoot consensus by up to one
-/// epoch of ticks; when cut off by the horizon, result.time reports
-/// `max_time`.
+/// epoch_length, tuning) tuple — never for the thread count: each
+/// epoch's shards run as one fork-join on the process executor
+/// (jobs::Executor::parallel_for), inline under --jobs=1. done() is
+/// polled at epoch boundaries only, so a run can overshoot consensus by
+/// up to one epoch of ticks; when cut off by the horizon, result.time
+/// reports `max_time`.
 ///
-/// `snapshot_reads` = false (default): same-shard neighbor reads are
-/// live, foreign reads are at most one epoch stale. `snapshot_reads` =
-/// true: *all* neighbor reads come from the epoch-start snapshot and
-/// only the node's own color is live — the constant-latency fold
-/// described in the file header (pair it with `epoch_length` set to
-/// the latency). `tuning.exact_reads` removes the staleness entirely
-/// via the two-phase exact schedule (detail::run_sharded_exact); it
-/// cannot be combined with snapshot_reads.
+/// Same-shard neighbor reads are live, foreign reads are at most one
+/// epoch stale; `tuning.exact_reads` removes the staleness entirely via
+/// the two-phase exact schedule (detail::run_sharded_exact).
 ///
-/// Perturbations (sim/perturb.hpp) drain on the *main thread at epoch
-/// boundaries* with the workers parked: each event applies at the
-/// first boundary at or after its time (epoch-quantized, never
-/// reordered), writing table + live + snapshot together so the next
-/// epoch's reads see it coherently. (In exact_reads mode they drain in
-/// exact event order instead, like the single-stream engines.) Crash
-/// suppression is a read-only bitmap lookup in the worker tick loop,
-/// stable within an epoch. The run continues past transient consensus
-/// until the driver is exhausted. Determinism for a fixed (seed,
-/// num_shards) is preserved: the driver owns its RNG stream and drains
-/// only between epochs.
+/// Perturbations (sim/perturb.hpp) drain on the *calling thread at
+/// epoch boundaries*, after the shard jobs have joined: each event
+/// applies at the first boundary at or after its time (epoch-quantized,
+/// never reordered), writing table + live + snapshot together so the
+/// next epoch's reads see it coherently. (In exact_reads mode they
+/// drain in exact event order instead, like the single-stream engines.)
+/// Crash suppression is a read-only bitmap lookup in the shard tick
+/// loop, stable within an epoch. The run continues past transient
+/// consensus until the driver is exhausted. Determinism for a fixed
+/// (seed, num_shards) is preserved: the driver owns its RNG stream and
+/// drains only between epochs.
 template <ShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
                            double max_time, Obs&& obs = Obs{},
                            double sample_every = 1.0,
                            double epoch_length = 0.25,
-                           bool snapshot_reads = false,
                            Perturber* perturb = nullptr,
                            const EngineTuning& tuning = {}) {
   PC_EXPECTS(max_time > 0.0);
   PC_EXPECTS(sample_every > 0.0);
   PC_EXPECTS(epoch_length > 0.0);
-  PC_EXPECTS(!(tuning.exact_reads && snapshot_reads));
   const std::uint64_t n = proto.num_nodes();
   PC_EXPECTS(n >= 1);
   const std::uint64_t shards = detail::resolve_shards(num_shards, n);
   if (tuning.exact_reads) {
     return detail::run_sharded_exact(proto, seed, shards, max_time,
                                      std::forward<Obs>(obs), sample_every,
-                                     epoch_length, perturb, tuning);
+                                     epoch_length, perturb);
   }
   // One width dispatch per run: the epoch body runs on typed pointers.
   switch (proto.table().width()) {
     case ColorWidth::kU8:
       return detail::run_sharded_impl<std::uint8_t>(
           proto, seed, shards, max_time, std::forward<Obs>(obs),
-          sample_every, epoch_length, snapshot_reads, perturb, tuning);
+          sample_every, epoch_length, perturb, tuning);
     case ColorWidth::kU16:
       return detail::run_sharded_impl<std::uint16_t>(
           proto, seed, shards, max_time, std::forward<Obs>(obs),
-          sample_every, epoch_length, snapshot_reads, perturb, tuning);
+          sample_every, epoch_length, perturb, tuning);
     case ColorWidth::kU32:
       return detail::run_sharded_impl<std::uint32_t>(
           proto, seed, shards, max_time, std::forward<Obs>(obs),
-          sample_every, epoch_length, snapshot_reads, perturb, tuning);
+          sample_every, epoch_length, perturb, tuning);
   }
   throw ContractViolation("unreachable color width");
 }
@@ -808,13 +609,14 @@ AsyncRunResult run_sharded_queued_impl(P& proto, const LatencyModel& latency,
                                        Perturber* perturb,
                                        const EngineTuning& tuning) {
   const std::uint64_t n = proto.num_nodes();
-  const ColorId num_colors = proto.table().num_colors();
   const bool blocking = discipline == QueryDiscipline::kBlocking;
-  const bool first_touch = tuning.numa != NumaMode::kOff;
+  const bool first_touched = tuning.numa != NumaMode::kOff;
+  jobs::Executor& executor = jobs::Executor::process();
 
   EngineBuffers buffers = make_buffers(proto.table().packed_colors(),
                                        tuning.numa);
-  ShardDeltaSlab deltas(shards, num_colors, /*deferred_init=*/first_touch);
+  ShardDeltaSlab deltas(shards, proto.table().num_colors(),
+                        /*deferred_init=*/first_touched);
 
   struct Delivery {
     NodeId to;
@@ -828,184 +630,109 @@ AsyncRunResult run_sharded_queued_impl(P& proto, const LatencyModel& latency,
     std::vector<std::uint8_t> pending;     // blocking: query in flight
     std::vector<NodeId> changed;
     std::uint64_t ticks = 0;
-    std::exception_ptr error;
   };
   const SeedSequence streams(seed);
   std::vector<Shard> pool(shards);
   for (std::uint64_t s = 0; s < shards; ++s) {
     std::tie(pool[s].lo, pool[s].hi) = detail::shard_range(n, s, shards);
     pool[s].rng = streams.make_rng(s);
-    if (blocking && !first_touch) {
+    if (blocking && !first_touched) {
       pool[s].pending.assign(pool[s].hi - pool[s].lo, 0);
     }
   }
+  first_touch(executor, tuning.numa, proto.table().packed_colors(),
+              buffers, deltas, pool, [&](Shard& shard) {
+                if (blocking) shard.pending.assign(shard.hi - shard.lo, 0);
+              });
 
-  bool initializing = first_touch;
-  double epoch_t0 = 0.0;  // written before each barrier, read by workers
+  double epoch_t0 = 0.0;  // written before each fork, read by the jobs
   double epoch_dt = 0.0;
-  const auto init_shard = [&](std::uint64_t s) {
-    try {
-      Shard& shard = pool[s];
-      buffers.live.copy_range_from(proto.table().packed_colors(), shard.lo,
-                                   shard.hi);
-      buffers.snapshot.copy_range_from(buffers.live, shard.lo, shard.hi);
-      deltas.clear(s);
-      if (blocking) shard.pending.assign(shard.hi - shard.lo, 0);
-    } catch (...) {
-      pool[s].error = std::current_exception();
-    }
-  };
-  const auto run_epoch_in = [&](std::uint64_t s) {
+  const std::function<void(std::size_t)> epoch_job = [&](std::size_t s) {
     Shard& shard = pool[s];
-    try {
-      const bool traced = trace::enabled();
-      const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-      const std::uint64_t ticks_before = shard.ticks;
-      std::uint64_t drained = 0;
-      const std::uint64_t n_s = shard.hi - shard.lo;
-      const double inv_rate = 1.0 / static_cast<double>(n_s);
-      const double t_end = epoch_t0 + epoch_dt;
-      T* colors = buffers.live.template data<T>();
-      const T* snap = buffers.snapshot.template data<T>();
-      const PackedShardView<T> view(colors, snap, shard.lo, shard.hi);
-      const std::span<std::int64_t> delta = deltas.shard(s);
-      // Fresh first-gap draw each epoch: exact by memorylessness of the
-      // shard's Poisson(n_s) tick process.
-      double next_tick = epoch_t0 + exponential_unit(shard.rng) * inv_rate;
-      for (;;) {
-        const bool deliver = !shard.deliveries.empty() &&
-                             shard.deliveries.next_time() <= next_tick;
-        const double event_time =
-            deliver ? shard.deliveries.next_time() : next_tick;
-        if (event_time >= t_end) break;  // remainder handled next epoch
-        if (deliver) {
-          auto event = shard.deliveries.pop();
-          ++drained;
-          const NodeId u = event.payload.to;
-          if (blocking) shard.pending[u - shard.lo] = 0;
-          // Answers to crashed nodes are dropped (flag still cleared
-          // above so the blocking bookkeeping cannot wedge).
-          if (perturb != nullptr && !perturb->allows_tick(u)) continue;
-          const ColorId next =
-              proto.apply_query(u, event.payload.query, view);
-          const ColorId old = colors[u];
-          if (next != old) {
-            colors[u] = static_cast<T>(next);
-            --delta[old];
-            ++delta[next];
-            shard.changed.push_back(u);
-          }
-        } else {
-          const auto u = static_cast<NodeId>(
-              shard.lo + uniform_below(shard.rng, n_s));
-          const bool alive =
-              perturb == nullptr || perturb->allows_tick(u);
-          if (alive && (!blocking || !shard.pending[u - shard.lo])) {
-            auto query = proto.query(u, view, shard.rng);
-            const double delay = latency.sample(shard.rng);
-            shard.deliveries.push(next_tick + delay,
-                                  Delivery{u, std::move(query)});
-            if (blocking) shard.pending[u - shard.lo] = 1;
-          }
-          ++shard.ticks;
-          next_tick += exponential_unit(shard.rng) * inv_rate;
+    const bool traced = trace::enabled();
+    const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
+    const std::uint64_t ticks_before = shard.ticks;
+    std::uint64_t drained = 0;
+    const std::uint64_t n_s = shard.hi - shard.lo;
+    const double inv_rate = 1.0 / static_cast<double>(n_s);
+    const double t_end = epoch_t0 + epoch_dt;
+    T* colors = buffers.live.template data<T>();
+    const PackedShardView<T> view(
+        colors, buffers.snapshot.template data<T>(), shard.lo, shard.hi);
+    const std::span<std::int64_t> delta = deltas.shard(s);
+    // Fresh first-gap draw each epoch: exact by memorylessness of the
+    // shard's Poisson(n_s) tick process.
+    double next_tick = epoch_t0 + exponential_unit(shard.rng) * inv_rate;
+    for (;;) {
+      const bool deliver = !shard.deliveries.empty() &&
+                           shard.deliveries.next_time() <= next_tick;
+      const double event_time =
+          deliver ? shard.deliveries.next_time() : next_tick;
+      if (event_time >= t_end) break;  // remainder handled next epoch
+      if (deliver) {
+        auto event = shard.deliveries.pop();
+        ++drained;
+        const NodeId u = event.payload.to;
+        if (blocking) shard.pending[u - shard.lo] = 0;
+        // Answers to crashed nodes are dropped (flag still cleared
+        // above so the blocking bookkeeping cannot wedge).
+        if (perturb != nullptr && !perturb->allows_tick(u)) continue;
+        const ColorId next = proto.apply_query(u, event.payload.query, view);
+        const ColorId old = colors[u];
+        if (next != old) {
+          colors[u] = static_cast<T>(next);
+          --delta[old];
+          ++delta[next];
+          shard.changed.push_back(u);
         }
+      } else {
+        const auto u =
+            static_cast<NodeId>(shard.lo + uniform_below(shard.rng, n_s));
+        const bool alive = perturb == nullptr || perturb->allows_tick(u);
+        if (alive && (!blocking || !shard.pending[u - shard.lo])) {
+          auto query = proto.query(u, view, shard.rng);
+          const double delay = latency.sample(shard.rng);
+          shard.deliveries.push(next_tick + delay,
+                                Delivery{u, std::move(query)});
+          if (blocking) shard.pending[u - shard.lo] = 1;
+        }
+        ++shard.ticks;
+        next_tick += exponential_unit(shard.rng) * inv_rate;
       }
-      if (traced) {
-        trace::Sink& sink = trace::local_sink();
-        const std::int64_t span_end = trace::now_ns();
-        sink.shard_span(span_t0, span_end - span_t0,
-                        shard.ticks - ticks_before);
-        if (drained > 0) sink.queue_drain(span_end, 0, drained);
-        // Depth at the epoch boundary is a trajectory property (the
-        // queue content is keyed on seed/shards/epoch_length), so the
-        // derived quantiles are deterministic and bench-gateable.
-        sink.queue_depth(span_end, shard.deliveries.size());
-      }
-    } catch (...) {
-      shard.error = std::current_exception();
+    }
+    if (traced) {
+      trace::Sink& sink = trace::local_sink();
+      const std::int64_t span_end = trace::now_ns();
+      sink.shard_span(span_t0, span_end - span_t0,
+                      shard.ticks - ticks_before);
+      if (drained > 0) sink.queue_drain(span_end, 0, drained);
+      // Depth at the epoch boundary is a trajectory property (the
+      // queue content is keyed on seed/shards/epoch_length), so the
+      // derived quantiles are deterministic and bench-gateable.
+      sink.queue_depth(span_end, shard.deliveries.size());
     }
   };
 
-  detail::ShardWorkerPool workers(
-      shards,
-      [&](std::uint64_t s) {
-        if (initializing) {
-          init_shard(s);
-        } else {
-          run_epoch_in(s);
-        }
+  return run_epochs(
+      proto, max_time, std::forward<Obs>(obs), sample_every, epoch_length,
+      perturb,
+      [&](NodeId u, ColorId c) {
+        proto.mutable_table().set_color(u, c);
+        buffers.live.set(u, c);
+        buffers.snapshot.set(u, c);
       },
-      tuning.numa);
-  const auto rethrow_shard_errors = [&] {
-    for (auto& shard : pool) {
-      if (shard.error) std::rethrow_exception(shard.error);
-    }
-  };
-  if (first_touch) {
-    workers.run_epoch();
-    initializing = false;
-    rethrow_shard_errors();
-  }
-
-  AsyncRunResult result;
-  const auto run_epoch = [&](double t0, double dt) {
-    epoch_t0 = t0;
-    epoch_dt = dt;
-    workers.run_epoch();
-    rethrow_shard_errors();
-    OpinionTable& table = proto.mutable_table();
-    T* live = buffers.live.template data<T>();
-    T* snap = buffers.snapshot.template data<T>();
-    for (std::uint64_t s = 0; s < shards; ++s) {
-      Shard& shard = pool[s];
-      table.merge_shard_deltas(shard.changed, buffers.live,
-                               deltas.shard(s));
-      for (const NodeId u : shard.changed) snap[u] = live[u];
-      shard.changed.clear();
-      deltas.clear(s);
-      result.ticks += shard.ticks;
-      shard.ticks = 0;
-    }
-  };
-
-  const auto apply_perturbations = [&](double t) {
-    if (perturb == nullptr || perturb->next_time() > t) return;
-    perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
-      proto.mutable_table().set_color(u, c);
-      buffers.live.set(u, c);
-      buffers.snapshot.set(u, c);
-    });
-  };
-  const auto running = [&] {
-    return !(proto.done() &&
-             (perturb == nullptr || perturb->exhausted()));
-  };
-
-  double now = 0.0;
-  obs(now, proto);
-  while (now < max_time && running()) {
-    const double sample_end = std::min(now + sample_every, max_time);
-    while (now < sample_end && running()) {
-      const double dt = std::min(epoch_length, sample_end - now);
-      if (!(dt > 0.0)) break;  // floating-point residue at the boundary
-      run_epoch(now, dt);
-      now += dt;
-      apply_perturbations(now);
-    }
-    if (now < max_time && running()) obs(now, proto);
-  }
-  result.time = proto.done() ? now : max_time;
-  obs(result.time, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
+      [&](double t0, double dt) {
+        epoch_t0 = t0;
+        epoch_dt = dt;
+        executor.parallel_for(shards, epoch_job);
+        return merge_epoch<T>(proto.mutable_table(), buffers, deltas, pool);
+      });
 }
 
 }  // namespace detail
 
 /// Runs `proto` under Poisson(1) clocks *and* a response-latency model,
-/// spread across `num_shards` threads: every (non-suppressed) tick
+/// spread across `num_shards` shards: every (non-suppressed) tick
 /// issues a query whose sampled colors are read at query time; the
 /// answer travels for latency.sample() time units on the shard's own
 /// delivery queue (the querier receives its own answer, so deliveries

@@ -3,12 +3,15 @@
 // deliberately unbalanced load, park/unpark with no lost wakeups over
 // many tiny graphs, exception propagation (first throw wins, queued
 // jobs skipped), RAII shutdown with work still queued, the zero-worker
-// inline degradation, cycle detection, the thread-budget handshake,
+// inline degradation, cycle detection, the fork-join primitive
+// (parallel_for: real two-thread execution, progress with every worker
+// busy elsewhere, exception propagation), the unconfigured --jobs= cap,
 // and SweepRunner's determinism / ordering contract.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -236,52 +239,119 @@ TEST(Executor, ZeroWorkersDetectsCycle) {
   EXPECT_THROW(executor.run(graph), ContractViolation);
 }
 
-// ---- thread budget ---------------------------------------------------
+// ---- fork-join -------------------------------------------------------
 
-TEST(ThreadBudget, GrantsUpToCapAndRestoresOnRelease) {
-  ThreadBudget budget;
-  budget.configure(4);  // 3 tokens beyond the calling thread
-  EXPECT_EQ(budget.limit(), 4u);
-  EXPECT_EQ(budget.acquire(2), 2u);
-  EXPECT_EQ(budget.acquire(5), 1u);  // partial grant
-  EXPECT_EQ(budget.acquire(1), 0u);  // exhausted, never blocks
-  budget.release(1);
-  EXPECT_EQ(budget.acquire(9), 1u);
-  budget.release(3);
-  EXPECT_EQ(budget.available(), 3);
+/// Spins until `ready` holds or 10 s pass; returns whether it held.
+template <typename Ready>
+bool await(Ready ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
-TEST(ThreadBudget, ConfigurePreservesOutstandingGrants) {
-  ThreadBudget budget;
-  budget.configure(8);
-  ASSERT_EQ(budget.acquire(4), 4u);
-  budget.configure(6);  // 5 workers allowed, 4 already out
-  EXPECT_EQ(budget.acquire(9), 1u);
-  budget.configure(3);  // over-committed: no new grants...
-  EXPECT_EQ(budget.acquire(1), 0u);
-  budget.release(5);  // ...until the old holders return tokens
-  EXPECT_EQ(budget.acquire(9), 2u);
-  budget.release(2);
+TEST(ParallelFor, ZeroWorkersRunsEveryIndexInlineInOrder) {
+  Executor executor(0);
+  std::vector<std::size_t> order;
+  executor.parallel_for(6, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  executor.parallel_for(0, [&](std::size_t) { FAIL(); });
 }
 
-TEST(ThreadBudget, ExecutorClampsToBudgetGrant) {
-  ThreadBudget budget;
-  budget.configure(3);  // 2 worker tokens
-  Executor executor(8, &budget);
-  EXPECT_EQ(executor.workers(), 2u);
-  EXPECT_EQ(budget.acquire(1), 0u);  // executor holds both tokens
-  JobGraph graph;
+TEST(ParallelFor, IndicesRunOnTwoThreadsWhenWorkersExist) {
+  // Whichever thread claims index 0 holds it until index 1 has
+  // started, so index 1 must be claimed by a second thread: with a
+  // worker present the fork really runs in parallel.
+  Executor executor(2);
+  std::atomic<bool> one_started{false};
+  std::atomic<bool> zero_saw_one{false};
+  std::thread::id ran_on[2];
+  executor.parallel_for(2, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    if (i == 1) {
+      one_started.store(true);
+    } else {
+      zero_saw_one.store(await([&] { return one_started.load(); }));
+    }
+  });
+  EXPECT_TRUE(zero_saw_one.load()) << "index 1 never started beside 0";
+  EXPECT_NE(ran_on[0], ran_on[1]);
+}
+
+TEST(ParallelFor, FinishesInsideJobWhileEveryOtherWorkerIsBusy) {
+  // Worker A runs the host job; the other two workers are held by long
+  // jobs of a foreign graph whose third job is still queued. The host's
+  // fork-join must finish on A alone, and A must not pick up the queued
+  // foreign job while it joins (bounded stack, no epoch stuck behind a
+  // foreign run).
+  Executor executor(3);
+  std::atomic<bool> host_started{false};
+  std::atomic<bool> host_done{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> foreign_started{0};
+  std::thread::id joiner;
+  std::vector<std::thread::id> ran_on(8);
+  int foreign_started_at_join = -1;
+  bool others_busy = false;
+
+  JobGraph host;
+  host.add([&] {
+    host_started.store(true);
+    others_busy = await([&] { return foreign_started.load() >= 2; });
+    joiner = std::this_thread::get_id();
+    executor.parallel_for(ran_on.size(), [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+    foreign_started_at_join = foreign_started.load();
+    host_done.store(true);
+  });
+  JobGraph foreign;
+  for (int j = 0; j < 3; ++j) {
+    foreign.add([&] {
+      foreign_started.fetch_add(1);
+      await([&] { return release.load(); });
+    });
+  }
+  executor.submit(host);
+  ASSERT_TRUE(await([&] { return host_started.load(); }));
+  executor.submit(foreign);
+  const bool finished = await([&] { return host_done.load(); });
+  release.store(true);
+  executor.wait(foreign);
+  executor.wait(host);
+  ASSERT_TRUE(others_busy);
+  EXPECT_TRUE(finished) << "fork-join stalled behind foreign jobs";
+  EXPECT_EQ(foreign_started_at_join, 2);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, joiner);
+}
+
+TEST(ParallelFor, RethrowsAfterJoiningEveryStartedIndex) {
+  Executor executor(2);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) graph.add([&] { ran.fetch_add(1); });
-  executor.run(graph);
-  EXPECT_EQ(ran.load(), 16);
+  EXPECT_THROW(executor.parallel_for(64,
+                                     [&](std::size_t i) {
+                                       ran.fetch_add(1);
+                                       if (i == 5) {
+                                         throw std::runtime_error("boom");
+                                       }
+                                     }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 64);
 }
+
+// ---- --jobs= cap -----------------------------------------------------
 
 TEST(ThreadBudget, UnconfiguredBudgetIsUnlimited) {
   ThreadBudget budget;
   EXPECT_EQ(budget.limit(), 0u);
-  EXPECT_EQ(budget.acquire(64), 64u);
-  budget.release(64);
+  budget.configure(4);
+  EXPECT_EQ(budget.limit(), 4u);
+  budget.reset_unlimited();
+  EXPECT_EQ(budget.limit(), 0u);
 }
 
 // ---- SweepRunner -----------------------------------------------------

@@ -1,12 +1,17 @@
 // Scheduling-determinism stress test for the job-graph experiment
-// layer: a real registered experiment (two_choices_scaling on an SBM
-// community graph) must emit bit-identical BENCH records and stdout
-// whether it runs serially (--threads=1 --jobs=1) or on the process
-// executor with any worker count (--jobs=1,2,8), across repeated runs.
-// This is the executable form of the executor's determinism contract
+// layer: real registered experiments must emit bit-identical BENCH
+// records and stdout whether they run serially (--threads=1 --jobs=1)
+// or on the process executor with any worker count (--jobs=1,2,8),
+// across repeated runs. Covered inputs: two_choices_scaling on an SBM
+// community graph (synchronous sweep leaves), and two sharded-engine
+// inputs whose epochs fork-join on the same executor from inside the
+// sweep leaves — the plain epoch loop (adversarial_placements) and the
+// latency path's delivery queues (latency_models). This is the
+// executable form of the executor's determinism contract
 // (jobs/executor.hpp): RNG streams are keyed by (seed, sweep-point,
-// rep) and every rep writes a pre-sized slot, so scheduling order can
-// never leak into the numbers.
+// rep) — and, for sharded runs, by (seed, shards) — and every rep
+// writes a pre-sized slot, so scheduling order can never leak into the
+// numbers.
 //
 // Links the experiment object library (see CMakeLists special-case),
 // exactly like test_registry.
@@ -34,18 +39,23 @@ struct RunOutput {
   std::string stdout_text;
 };
 
-/// Runs two_choices_scaling small-but-real (SBM topology, 8 reps, two
-/// sweep points) under the given scheduling flags and returns the BENCH
-/// record with the scheduling-dependent fields pinned: wall clock and
-/// the jobs/threads echoes differ across runs BY DESIGN, everything
-/// else must not.
-RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
-  const auto& registry = ExperimentRegistry::instance();
-  const Experiment* experiment = registry.find("two_choices_scaling");
-  EXPECT_NE(experiment, nullptr);
+/// The two_choices_scaling input: small-but-real (SBM topology, 8
+/// reps, two sweep points).
+const std::vector<const char*> kScalingFlags{
+    "--graph=sbm", "--reps=8", "--max_n=2048", "--seed=12345", "--csv"};
 
-  std::vector<const char*> tail{"--graph=sbm", "--reps=8", "--max_n=2048",
-                                "--seed=12345", "--csv"};
+/// Runs `name` with `flags` plus `scheduling_flags` and returns the
+/// BENCH record with the scheduling-dependent fields pinned: wall clock
+/// and the jobs/threads echoes differ across runs BY DESIGN, everything
+/// else must not.
+RunOutput run_experiment(const char* name,
+                         const std::vector<const char*>& flags,
+                         const std::vector<const char*>& scheduling_flags) {
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* experiment = registry.find(name);
+  EXPECT_NE(experiment, nullptr) << name;
+
+  std::vector<const char*> tail = flags;
   tail.insert(tail.end(), scheduling_flags.begin(), scheduling_flags.end());
 
   ::testing::internal::CaptureStdout();
@@ -84,7 +94,9 @@ RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
 
 TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
   // The ground truth: pure serial (no executor path at all).
-  const RunOutput serial = run_scaling({"--threads=1", "--jobs=1"});
+  const RunOutput serial =
+      run_experiment("two_choices_scaling", kScalingFlags,
+                     {"--threads=1", "--jobs=1"});
   ASSERT_NE(serial.record.find("\"rounds_vs_n\""), std::string::npos);
 
   // Executor path at increasing widths. --jobs=1 exercises the
@@ -92,7 +104,8 @@ TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
   // with different worker counts (and different steal interleavings
   // every run).
   for (const char* jobs : {"--jobs=1", "--jobs=2", "--jobs=8"}) {
-    const RunOutput parallel = run_scaling({jobs});
+    const RunOutput parallel =
+        run_experiment("two_choices_scaling", kScalingFlags, {jobs});
     EXPECT_EQ(serial.record, parallel.record)
         << "BENCH record diverged from serial under " << jobs;
     EXPECT_EQ(serial.stdout_text, parallel.stdout_text)
@@ -103,12 +116,45 @@ TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
 TEST(SchedulingDeterminism, RepeatedParallelRunsAreStable) {
   // Run-to-run stability at the widest setting: steal order differs
   // every time, the record must not.
-  const RunOutput first = run_scaling({"--jobs=8"});
+  const RunOutput first =
+      run_experiment("two_choices_scaling", kScalingFlags, {"--jobs=8"});
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const RunOutput again = run_scaling({"--jobs=8"});
+    const RunOutput again =
+        run_experiment("two_choices_scaling", kScalingFlags, {"--jobs=8"});
     EXPECT_EQ(first.record, again.record)
         << "record changed between identical --jobs=8 runs";
     EXPECT_EQ(first.stdout_text, again.stdout_text);
+  }
+}
+
+TEST(SchedulingDeterminism, ShardedRunsBitIdenticalAcrossJobsCounts) {
+  // Sharded runs inside sweep leaves: each epoch's shards fork-join on
+  // the executor that also runs the leaves, so at --jobs=2/8 shards land
+  // on arbitrary threads. The (seed, shards) key must make that
+  // invisible. --jobs=1 (every shard inline) is the reference.
+  const struct {
+    const char* name;
+    std::vector<const char*> flags;
+  } inputs[] = {
+      {"adversarial_placements",
+       {"--engine=sharded", "--shards=4", "--n=1024", "--horizon=300",
+        "--reps=3", "--seed=4242", "--csv"}},
+      {"latency_models",
+       {"--engine=sharded", "--shards=4", "--latency=exp", "--n=1024",
+        "--reps=3", "--seed=4242", "--csv"}},
+  };
+  for (const auto& input : inputs) {
+    const RunOutput reference =
+        run_experiment(input.name, input.flags, {"--jobs=1"});
+    ASSERT_NE(reference.record.find("\"series\""), std::string::npos);
+    for (const char* jobs : {"--jobs=2", "--jobs=8"}) {
+      const RunOutput parallel =
+          run_experiment(input.name, input.flags, {jobs});
+      EXPECT_EQ(reference.record, parallel.record)
+          << input.name << ": BENCH record diverged under " << jobs;
+      EXPECT_EQ(reference.stdout_text, parallel.stdout_text)
+          << input.name << ": stdout diverged under " << jobs;
+    }
   }
 }
 

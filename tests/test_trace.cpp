@@ -3,10 +3,10 @@
 // monotone in append order, spans disjoint-or-contained), fixed-seed
 // determinism of the trajectory-property aggregates, and — the part
 // that keeps the BENCH summary honest — the merged summary matching a
-// brute-force recount of the drained timeline events. The pool test at
-// the bottom is the executable form of the CI barrier assertion: with
-// an unlimited thread budget the shard pool spawns real workers and
-// barrier waits must be recorded.
+// brute-force recount of the drained timeline events. The test at the
+// bottom runs the sharded engine's epochs as real fork-joins on a
+// multi-worker process executor and checks the contention summary
+// stays well-formed.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
-#include "jobs/budget.hpp"
+#include "jobs/executor.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/latency.hpp"
@@ -250,14 +250,12 @@ TEST(TraceRun, OffModeRecordsNothing) {
   Registry::instance().configure(trace::TraceSpec{});
 }
 
-TEST(TracePool, RealShardWorkersRecordBarrierWaits) {
-  // With an unlimited thread budget the shard pool spawns real workers,
-  // and every epoch ends in a caller barrier wait: barrier_wait_count
-  // is structurally nonzero. (Under plurality_exp's --jobs= cap the
-  // process executor holds every budget token, pools run inline, and
-  // the harness's barrier waits come from the executor's completion
-  // wait instead — this test pins the pool path deterministically.)
-  jobs::ThreadBudget::global().reset_unlimited();
+TEST(TraceRun, ShardedRunOnExecutorRecordsWorkAndBoundedWaits) {
+  // At process concurrency 4 each epoch's shards fork-join on the
+  // process executor. Whether the caller ever has to wait at the join
+  // is a schedule property, so the barrier fraction is only bounded:
+  // it lies in [0, 1) because shard work is always recorded.
+  jobs::set_process_concurrency(4);
   Registry::instance().configure(trace::TraceSpec{});
   const std::uint64_t n = 1024;
   const CompleteGraph g(n);
@@ -266,11 +264,10 @@ TEST(TracePool, RealShardWorkersRecordBarrierWaits) {
   const auto result = run_sharded(proto, rng(), /*num_shards=*/4, 1e6);
   EXPECT_TRUE(result.consensus);
   const TraceSummary summary = Registry::instance().summarize();
-  EXPECT_GT(summary.barrier_wait_count, 0u);
   EXPECT_GT(summary.work_ns, 0u);
   EXPECT_GT(summary.ticks, 0u);
   const double frac = summary.barrier_wait_frac();
-  EXPECT_GT(frac, 0.0);
+  EXPECT_GE(frac, 0.0);
   EXPECT_LT(frac, 1.0);
 }
 

@@ -34,10 +34,9 @@ run --exp=endgame              --reps=3 --max_n=8192 --n=4096
 # horizon, keeping the record above bench_diff's --min-seconds floor.
 run --exp=late_adversary       --reps=3 --n=1024
 # Scale keeps this baseline above bench_diff's --min-seconds floor so
-# the latency-model sweep is actually gated in CI. --shards is pinned:
-# the const_fold_sharded series keys on the resolved shard count, and
-# an unpinned --shards=0 resolves to the host's core count, which would
-# make the series identity (and so the --series-z gate) host-dependent.
+# the latency-model sweep is actually gated in CI. --shards stays pinned
+# so the record's shards/shards_effective params are host-independent
+# (an unpinned --shards=0 resolves to the host's core count).
 run --exp=latency_models       --reps=4 --n=4096 --shards=1
 # Scale keeps this baseline above bench_diff's --min-seconds floor so
 # the M1b/M1c engine comparison is actually gated in CI. The M1e
