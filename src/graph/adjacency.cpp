@@ -16,4 +16,11 @@ AdjacencyList::AdjacencyList(const std::vector<std::vector<NodeId>>& lists) {
   }
 }
 
+AdjacencyList::AdjacencyList(std::vector<std::uint64_t> offsets,
+                             std::vector<NodeId> edges)
+    : offsets_(std::move(offsets)), edges_(std::move(edges)) {
+  PC_EXPECTS(!offsets_.empty() && offsets_.front() == 0);
+  PC_EXPECTS(offsets_.back() == edges_.size());
+}
+
 }  // namespace plurality

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <utility>
 
+#include "graph/adjacency.hpp"
 #include "rng/distributions.hpp"
 
 namespace plurality {
@@ -121,9 +122,9 @@ ChurnableCsr::ChurnableCsr(const CsrTopology& source)
   }
   // Pair each directed slot with its reverse: sort slot indices by the
   // undirected edge key, then by owner so a key held k times lists its
-  // k min-endpoint slots before its k max-endpoint slots. Configuration
-  // -model sources (graph/random_regular.hpp) may carry multi-edges and
-  // self-loops, so a key group can be longer than two.
+  // k min-endpoint slots before its k max-endpoint slots. Random-regular
+  // sources with d close to n (graph/random_regular.hpp) may keep
+  // multi-edges and self-loops, so a key group can be longer than two.
   std::vector<std::uint64_t> order(slots);
   std::iota(order.begin(), order.end(), 0);
   const auto key = [&](std::uint64_t s) {
@@ -167,19 +168,13 @@ ChurnableCsr::ChurnableCsr(const CsrTopology& source)
 }
 
 std::uint64_t ChurnableCsr::count_defect_slots() const {
-  // Self-loop slots plus the per-row excess beyond edge multiplicity 1.
-  // try_swap never creates either (shared endpoints and existing edges
-  // are rejected), so this count is non-increasing under rewiring.
+  // try_swap never creates a self-loop or a duplicate (shared endpoints
+  // and existing edges are rejected), so this count is non-increasing
+  // under rewiring.
   std::uint64_t defects = 0;
   const std::uint64_t n = offsets_.size() - 1;
-  std::vector<NodeId> row;
-  for (NodeId u = 0; u < n; ++u) {
-    row.assign(edges_.begin() + offsets_[u], edges_.begin() + offsets_[u + 1]);
-    std::sort(row.begin(), row.end());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (row[i] == u || (i > 0 && row[i] == row[i - 1])) ++defects;
-    }
-  }
+  RowDefectCounter counter(n);
+  for (NodeId u = 0; u < n; ++u) defects += counter.count(u, view_.neighbors(u));
   return defects;
 }
 

@@ -169,9 +169,10 @@ class ChurnableCsr {
   void rewire_node(NodeId u, Xoshiro256& rng);
 
   /// Structural invariants: mirror involution, symmetry, and no *new*
-  /// self-loops or duplicate edges beyond the source graph's. Sources
-  /// from the configuration model (graph/random_regular.hpp) may carry
-  /// defects; swaps only ever remove them. O(E log E); for tests.
+  /// self-loops or duplicate edges beyond the source graph's. A
+  /// random-regular source with d close to n may keep defects
+  /// (graph/random_regular.hpp); swaps only ever remove them.
+  /// O(E log E); for tests.
   bool check_consistent() const;
 
  private:

@@ -57,7 +57,9 @@ run --exp=recovery_injection   --reps=4 --n=8192
 run --exp=response_delays      --reps=2 --n=1024
 run --exp=sync_gadget_ablation --reps=2 --max_n=8192
 run --exp=tick_concentration   --reps=2 --max_n=4096 --t=8
-run --exp=topologies           --reps=2 --horizon=200 --n=1024
+# --jobs and --shards stay pinned so the record's jobs/shards params
+# are host-independent (the sequential engine ignores both).
+run --exp=topologies           --reps=2 --horizon=200 --n=1024 --jobs=1 --shards=1
 run --exp=two_choices_lower_bound --reps=2 --max_k=16 --n=4096
 run --exp=two_choices_scaling  --reps=2 --max_n=4096
 
