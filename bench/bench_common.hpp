@@ -81,17 +81,6 @@ inline AnyGraph make_topology(const ExperimentContext& ctx, std::uint64_t n,
   return graph;
 }
 
-/// Builds the topology and runs `fn(g)` on the concrete graph type —
-/// the one-std::visit-per-sweep-point pattern every factory-driven
-/// experiment shares.
-template <typename Fn>
-auto with_topology(const ExperimentContext& ctx, std::uint64_t n,
-                   Xoshiro256& build_rng, Fn&& fn,
-                   GraphKind experiment_default = GraphKind::kComplete) {
-  return std::visit(std::forward<Fn>(fn),
-                    make_topology(ctx, n, build_rng, experiment_default));
-}
-
 /// Places an exact count profile onto the nodes of `g` according to an
 /// explicit placement spec (the sweep form used by W1). The placement
 /// that actually ran is attributed into the record via

@@ -35,14 +35,12 @@ using namespace plurality;
 
 namespace {
 
-struct Cell {
-  Summary time;
-  Summary wins;
-  Summary done;
-};
-
+/// Declares one protocol x placement cell on `sweep`. Its finish
+/// records the two series, prints the table row and appends the time
+/// summary to `times` (finish callbacks run in declaration order).
 template <template <GraphTopology> class Proto>
-Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& plan,
+void add_cell(SweepRunner& sweep, Table& table, std::vector<Summary>& times,
+              ExperimentContext& ctx, const bench::RunPlan& plan,
               const AnyGraph& any, const CsrTopology& csr,
               const char* protocol, const PlacementSpec& placement,
               std::uint64_t c1, double c1_frac, double horizon,
@@ -50,40 +48,48 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& plan,
   // The protocol runs on the flat CSR view (one instantiation, shared
   // by all engines incl. the sharded workers); the placement runs on
   // the concrete graph, which knows its communities and cut structure.
-  const std::uint64_t n = csr.num_nodes();
-  const auto seeds = ctx.seeds_for(sweep_point);
-  const auto place = [&](Xoshiro256& rng) {
-    return std::visit(
-        [&](const auto& g) {
-          return bench::place_with(ctx, placement, g,
-                                   counts_two_colors(n, c1), rng);
-        },
-        any);
-  };
-  const auto slots = run_repetitions_multi(
-      ctx.reps, 3, seeds,
-      [&](std::uint64_t, Xoshiro256& rng) {
-        Proto<CsrTopology> proto(csr, place(rng));
+  sweep.add_point(
+      ctx.reps, 3, ctx.seeds_for(sweep_point),
+      [&ctx, &plan, &any, &csr, placement, c1, horizon](std::uint64_t,
+                                                       Xoshiro256& rng) {
+        const std::uint64_t n = csr.num_nodes();
+        auto workload = std::visit(
+            [&](const auto& g) {
+              return bench::place_with(ctx, placement, g,
+                                       counts_two_colors(n, c1), rng);
+            },
+            any);
+        Proto<CsrTopology> proto(csr, std::move(workload));
         const auto result = bench::run(plan, proto, rng, horizon);
         return std::vector<double>{
             result.time,
             (result.consensus && result.winner == 0) ? 1.0 : 0.0,
             result.consensus ? 1.0 : 0.0};
       },
-      ctx.threads);
-  ctx.record("time_vs_placement",
-             {{"protocol", protocol},
-              {"placement", placement_kind_name(placement.kind)},
-              {"topology", topology.c_str()},
-              {"c1_frac", c1_frac}},
-             slots[0]);
-  ctx.record("c1_win_vs_placement",
-             {{"protocol", protocol},
-              {"placement", placement_kind_name(placement.kind)},
-              {"topology", topology.c_str()},
-              {"c1_frac", c1_frac}},
-             slots[1]);
-  return Cell{summarize(slots[0]), summarize(slots[1]), summarize(slots[2])};
+      [&ctx, &table, &times, &topology, protocol, kind = placement.kind,
+       c1_frac](const auto& slots) {
+        ctx.record("time_vs_placement",
+                   {{"protocol", protocol},
+                    {"placement", placement_kind_name(kind)},
+                    {"topology", topology.c_str()},
+                    {"c1_frac", c1_frac}},
+                   slots[0]);
+        ctx.record("c1_win_vs_placement",
+                   {{"protocol", protocol},
+                    {"placement", placement_kind_name(kind)},
+                    {"topology", topology.c_str()},
+                    {"c1_frac", c1_frac}},
+                   slots[1]);
+        const Summary time = summarize(slots[0]);
+        table.row()
+            .cell(protocol)
+            .cell(placement_kind_name(kind))
+            .cell(time.mean, 1)
+            .cell(time.ci95_halfwidth, 1)
+            .cell(summarize(slots[2]).mean, 2)
+            .cell(summarize(slots[1]).mean, 2);
+        times.push_back(time);
+      });
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -126,40 +132,32 @@ int run_exp(ExperimentContext& ctx) {
               {"protocol", "placement", "mean_time", "ci95", "done",
                "c1_win_rate"});
 
+  // Every placement x protocol cell on one job graph; the separation
+  // bookkeeping reads the time summaries back in declaration order.
+  SweepRunner runner(ctx.threads);
+  std::vector<Summary> times;
+  std::uint64_t sweep_point = 0;
+  for (const PlacementKind kind : sweep) {
+    const PlacementSpec placement{kind, ctx.placement.fraction};
+    add_cell<TwoChoicesAsync>(runner, table, times, ctx, plan, any, csr,
+                              "two_choices", placement, c1, c1_frac,
+                              horizon, sweep_point * 2, topology);
+    add_cell<ThreeMajorityAsync>(runner, table, times, ctx, plan, any, csr,
+                                 "three_majority", placement, c1, c1_frac,
+                                 horizon, sweep_point * 2 + 1, topology);
+    ++sweep_point;
+  }
+  runner.run();
+
   double uniform_mean = -1.0;
   double uniform_se = 0.0;
   double best_z = -1.0;
   const char* best_placement = "";
-  std::uint64_t sweep_point = 0;
-  for (const PlacementKind kind : sweep) {
-    const PlacementSpec placement{kind, ctx.placement.fraction};
-    struct Row {
-      const char* protocol;
-      Cell cell;
-    };
-    const Row rows[] = {
-        {"two_choices",
-         run_cell<TwoChoicesAsync>(ctx, plan, any, csr, "two_choices",
-                                   placement, c1, c1_frac, horizon,
-                                   sweep_point * 2, topology)},
-        {"three_majority",
-         run_cell<ThreeMajorityAsync>(ctx, plan, any, csr, "three_majority",
-                                      placement, c1, c1_frac, horizon,
-                                      sweep_point * 2 + 1, topology)},
-    };
-    ++sweep_point;
-    for (const Row& row : rows) {
-      table.row()
-          .cell(row.protocol)
-          .cell(placement_kind_name(kind))
-          .cell(row.cell.time.mean, 1)
-          .cell(row.cell.time.ci95_halfwidth, 1)
-          .cell(row.cell.done.mean, 2)
-          .cell(row.cell.wins.mean, 2);
-    }
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const PlacementKind kind = sweep[i];
     // Separation bookkeeping on the two_choices series: how many
     // combined standard errors lie between this placement and uniform.
-    const Summary& tc = rows[0].cell.time;
+    const Summary& tc = times[2 * i];
     const double se = tc.ci95_halfwidth / 1.96;
     if (kind == PlacementKind::kUniform) {
       uniform_mean = tc.mean;

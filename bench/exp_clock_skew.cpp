@@ -32,8 +32,7 @@ int run_exp(ExperimentContext& ctx) {
                "success"});
 
   // One profile = one sweep point on ONE job graph; records and rows
-  // come from finish callbacks in declaration order, bit-identical to
-  // the historical per-profile run_repetitions_multi loop.
+  // come from finish callbacks in declaration order.
   SweepRunner runner(ctx.threads);
   auto add_profile = [&](const std::string& name, auto make_rates,
                          std::uint64_t sweep_point) {

@@ -49,13 +49,18 @@ int run_exp(ExperimentContext& ctx) {
               {"crash_frac", "protocol", "live_agree", "ci95",
                "global_consensus"});
 
-  std::uint64_t sweep = 0;
+  // Every crash-fraction x protocol point on one job graph; records and
+  // rows come from the finish callbacks in declaration order.
+  SweepRunner sweep(ctx.threads);
+  std::uint64_t sweep_point = 0;
   for (const double fraction : {0.0, 0.05, 0.1, 0.25, 0.5}) {
     for (const bool phased : {false, true}) {
-      const auto seeds = ctx.seeds_for(sweep++);
-      const auto slots = run_repetitions_multi(
-          ctx.reps, 2, seeds,
-          [&](std::uint64_t, Xoshiro256& rng) {
+      const char* protocol =
+          phased ? "async_oneextrabit" : "async_two_choices";
+      sweep.add_point(
+          ctx.reps, 2, ctx.seeds_for(sweep_point++),
+          [&ctx, &plan, &any, &csr, n_eff, k, bias, crash_tick, fraction,
+           phased](std::uint64_t, Xoshiro256& rng) {
             const auto crashes =
                 crash_fraction_plan(n_eff, fraction, crash_tick, rng);
             auto workload = bench::place_on(
@@ -76,22 +81,23 @@ int run_exp(ExperimentContext& ctx) {
             return std::vector<double>{proto.live_agreement(),
                                        result.consensus ? 1.0 : 0.0};
           },
-          ctx.threads);
-      ctx.record("live_agreement",
-                 {{"n", n_eff},
-                  {"crash_frac", fraction},
-                  {"protocol",
-                   phased ? "async_oneextrabit" : "async_two_choices"}},
-                 slots[0]);
-      const Summary agree = summarize(slots[0]);
-      table.row()
-          .cell(fraction, 2)
-          .cell(phased ? "async_oneextrabit" : "async_two_choices")
-          .cell(agree.mean, 4)
-          .cell(agree.ci95_halfwidth, 4)
-          .cell(summarize(slots[1]).mean, 2);
+          [&ctx, &table, n_eff, fraction, protocol](const auto& slots) {
+            ctx.record("live_agreement",
+                       {{"n", n_eff},
+                        {"crash_frac", fraction},
+                        {"protocol", protocol}},
+                       slots[0]);
+            const Summary agree = summarize(slots[0]);
+            table.row()
+                .cell(fraction, 2)
+                .cell(protocol)
+                .cell(agree.mean, 4)
+                .cell(agree.ci95_halfwidth, 4)
+                .cell(summarize(slots[1]).mean, 2);
+          });
     }
   }
+  sweep.run();
   table.print(std::cout, ctx.csv);
   return 0;
 }

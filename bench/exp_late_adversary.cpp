@@ -36,24 +36,24 @@ using namespace plurality;
 
 namespace {
 
-struct Cell {
-  Summary time;
-  Summary done;
-};
-
+/// Declares one protocol x arm cell on `sweep`. `cell_plan` and
+/// `placement` are copied into the body: the leaves run after the
+/// declaring loop iteration has ended. The finish records the series,
+/// prints the table row and appends the time summary to `times`
+/// (finish callbacks run in declaration order).
 template <template <GraphTopology> class Proto>
-Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
+void add_cell(SweepRunner& sweep, Table& table, std::vector<Summary>& times,
+              ExperimentContext& ctx, const bench::RunPlan& cell_plan,
               const AnyGraph& any, const CsrTopology& csr,
               const char* protocol, const char* arm, std::uint64_t budget,
               const PlacementSpec& placement, std::uint64_t c1_start,
               double horizon, std::uint64_t sweep_point) {
   const std::uint64_t n = csr.num_nodes();
-  const ColorId k = 2;
-  const bool adaptive = cell_plan.perturb.kind == PerturbKind::kAdversary;
-  const auto seeds = ctx.seeds_for(sweep_point);
-  const auto slots = run_repetitions_multi(
-      ctx.reps, 2, seeds,
-      [&](std::uint64_t, Xoshiro256& rng) {
+  sweep.add_point(
+      ctx.reps, 2, ctx.seeds_for(sweep_point),
+      [&ctx, &any, &csr, cell_plan, placement, n, c1_start,
+       horizon](std::uint64_t, Xoshiro256& rng) {
+        const ColorId k = 2;
         auto workload = std::visit(
             [&](const auto& g) {
               return bench::place_with(ctx, placement, g,
@@ -62,7 +62,7 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
             },
             any);
         Proto<CsrTopology> proto(csr, std::move(workload));
-        if (adaptive) {
+        if (cell_plan.perturb.kind == PerturbKind::kAdversary) {
           Perturber perturb =
               bench::make_perturber(cell_plan, n, k, rng, &csr);
           const auto result = bench::run(cell_plan, proto, rng, horizon,
@@ -74,14 +74,23 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
         return std::vector<double>{result.time,
                                    result.consensus ? 1.0 : 0.0};
       },
-      ctx.threads);
-  ctx.record("time_vs_budget",
-             {{"protocol", protocol},
-              {"arm", arm},
-              {"budget", budget},
-              {"n", n}},
-             slots[0]);
-  return Cell{summarize(slots[0]), summarize(slots[1])};
+      [&ctx, &table, &times, protocol, arm, budget, n](const auto& slots) {
+        ctx.record("time_vs_budget",
+                   {{"protocol", protocol},
+                    {"arm", arm},
+                    {"budget", budget},
+                    {"n", n}},
+                   slots[0]);
+        const Summary time = summarize(slots[0]);
+        table.row()
+            .cell(budget)
+            .cell(arm)
+            .cell(protocol)
+            .cell(time.mean, 1)
+            .cell(time.ci95_halfwidth, 1)
+            .cell(summarize(slots[1]).mean, 2);
+        times.push_back(time);
+      });
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -147,8 +156,10 @@ int run_exp(ExperimentContext& ctx) {
                   std::to_string(static_cast<int>(horizon)) + ")",
               {"budget", "arm", "protocol", "mean_time", "ci95", "done"});
 
-  double best_z = -1e300;
-  std::uint64_t best_budget = 0;
+  // Every budget x arm x protocol cell on one job graph; the separation
+  // lines read the time summaries back in declaration order.
+  SweepRunner sweep(ctx.threads);
+  std::vector<Summary> times;
   std::uint64_t sweep_point = 0;
   for (const std::uint64_t budget : budgets) {
     // Static arm: b corruptions applied before the run — the counts
@@ -164,51 +175,31 @@ int run_exp(ExperimentContext& ctx) {
       adaptive_plan.perturb.rate =
           static_cast<double>(budget) / 64.0;
     }
-
-    struct Arm {
-      const char* name;
-      Cell two_choices;
-      Cell three_majority;
-    };
-    const Arm arms[] = {
-        {"static_boundary",
-         run_cell<TwoChoicesAsync>(ctx, static_plan, any, csr,
-                                   "two_choices", "static_boundary",
-                                   budget, boundary, c1 - budget, horizon,
-                                   sweep_point * 4),
-         run_cell<ThreeMajorityAsync>(ctx, static_plan, any, csr,
-                                      "three_majority", "static_boundary",
-                                      budget, boundary, c1 - budget,
-                                      horizon, sweep_point * 4 + 1)},
-        {"late_adversary",
-         run_cell<TwoChoicesAsync>(ctx, adaptive_plan, any, csr,
-                                   "two_choices", "late_adversary",
-                                   budget, uniform, c1, horizon,
-                                   sweep_point * 4 + 2),
-         run_cell<ThreeMajorityAsync>(ctx, adaptive_plan, any, csr,
-                                      "three_majority", "late_adversary",
-                                      budget, uniform, c1, horizon,
-                                      sweep_point * 4 + 3)},
-    };
+    add_cell<TwoChoicesAsync>(sweep, table, times, ctx, static_plan, any,
+                              csr, "two_choices", "static_boundary",
+                              budget, boundary, c1 - budget, horizon,
+                              sweep_point * 4);
+    add_cell<ThreeMajorityAsync>(sweep, table, times, ctx, static_plan, any,
+                                 csr, "three_majority", "static_boundary",
+                                 budget, boundary, c1 - budget, horizon,
+                                 sweep_point * 4 + 1);
+    add_cell<TwoChoicesAsync>(sweep, table, times, ctx, adaptive_plan, any,
+                              csr, "two_choices", "late_adversary", budget,
+                              uniform, c1, horizon, sweep_point * 4 + 2);
+    add_cell<ThreeMajorityAsync>(sweep, table, times, ctx, adaptive_plan,
+                                 any, csr, "three_majority",
+                                 "late_adversary", budget, uniform, c1,
+                                 horizon, sweep_point * 4 + 3);
     ++sweep_point;
-    for (const Arm& arm : arms) {
-      table.row()
-          .cell(budget)
-          .cell(arm.name)
-          .cell("two_choices")
-          .cell(arm.two_choices.time.mean, 1)
-          .cell(arm.two_choices.time.ci95_halfwidth, 1)
-          .cell(arm.two_choices.done.mean, 2);
-      table.row()
-          .cell(budget)
-          .cell(arm.name)
-          .cell("three_majority")
-          .cell(arm.three_majority.time.mean, 1)
-          .cell(arm.three_majority.time.ci95_halfwidth, 1)
-          .cell(arm.three_majority.done.mean, 2);
-    }
-    const Summary& st = arms[0].two_choices.time;
-    const Summary& ad = arms[1].two_choices.time;
+  }
+  sweep.run();
+
+  double best_z = -1e300;
+  std::uint64_t best_budget = 0;
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const std::uint64_t budget = budgets[i];
+    const Summary& st = times[4 * i];      // static_boundary two_choices
+    const Summary& ad = times[4 * i + 2];  // late_adversary two_choices
     const double se_st = st.ci95_halfwidth / 1.96;
     const double se_ad = ad.ci95_halfwidth / 1.96;
     const double pooled = std::sqrt(se_st * se_st + se_ad * se_ad);

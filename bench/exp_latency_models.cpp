@@ -23,6 +23,7 @@
 // sets the matched mean (default 1.0) and --latency-shape= overrides
 // the per-family default shape.
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,42 +42,35 @@ using namespace plurality;
 
 namespace {
 
-/// One (protocol, model) cell: consensus times of the blocking
-/// discipline, on the engine the plan selects — the messaging driver
-/// (delayed protocol variant) by default, the sharded engine's
-/// delivery queues (plain protocol, query/apply split) under
-/// --engine=sharded.
+/// The repetition body of one (protocol, model) cell: consensus times
+/// of the blocking discipline, on the engine the plan selects — the
+/// messaging driver (delayed protocol variant) by default, the sharded
+/// engine's delivery queues (plain protocol, query/apply split) under
+/// --engine=sharded. The body shares ownership of `model`: it runs
+/// after the declaring loop iteration has ended.
 template <template <GraphTopology> class ProtoDelayed,
           template <GraphTopology> class ProtoPlain>
-std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
-                                          const bench::RunPlan& plan,
-                                          const AnyGraph& any,
-                                          const CsrTopology& csr,
-                                          const LatencyModel& model,
-                                          std::uint64_t sweep_point) {
-  const std::uint64_t n = csr.num_nodes();
-  const auto seeds = ctx.seeds_for(sweep_point);
-  const bool sharded = plan.engine == EngineKind::kSharded;
-  return run_repetitions_multi(
-      ctx.reps, 2, seeds,
-      [&](std::uint64_t, Xoshiro256& rng) {
-        AsyncRunResult result;
-        if (sharded) {
-          ProtoPlain<CsrTopology> proto(
-              csr, bench::place_on(ctx, any,
-                                   counts_two_colors(n, (n * 3) / 4), rng));
-          result = bench::run_queued(plan, proto, model,
-                                     QueryDiscipline::kBlocking, rng, 1e5);
-        } else {
-          ProtoDelayed<CsrTopology> proto(
-              csr, bench::place_on(ctx, any,
-                                   counts_two_colors(n, (n * 3) / 4), rng));
-          result = bench::run(plan, proto, model, rng, 1e5);
-        }
-        return std::vector<double>{result.time,
-                                   result.consensus ? 1.0 : 0.0};
-      },
-      ctx.threads);
+SweepRunner::Body cell_body(ExperimentContext& ctx,
+                            const bench::RunPlan& plan, const AnyGraph& any,
+                            const CsrTopology& csr,
+                            std::shared_ptr<const LatencyModel> model) {
+  return [&ctx, &plan, &any, &csr, model](std::uint64_t, Xoshiro256& rng) {
+    const std::uint64_t n = csr.num_nodes();
+    AsyncRunResult result;
+    if (plan.engine == EngineKind::kSharded) {
+      ProtoPlain<CsrTopology> proto(
+          csr, bench::place_on(ctx, any,
+                               counts_two_colors(n, (n * 3) / 4), rng));
+      result = bench::run_queued(plan, proto, *model,
+                                 QueryDiscipline::kBlocking, rng, 1e5);
+    } else {
+      ProtoDelayed<CsrTopology> proto(
+          csr, bench::place_on(ctx, any,
+                               counts_two_colors(n, (n * 3) / 4), rng));
+      result = bench::run(plan, proto, *model, rng, 1e5);
+    }
+    return std::vector<double>{result.time, result.consensus ? 1.0 : 0.0};
+  };
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -136,62 +130,71 @@ int run_exp(ExperimentContext& ctx) {
     return s;
   };
 
+  // Every model x protocol cell on one job graph; records, rows and
+  // the ordering bookkeeping come from the finish callbacks in
+  // declaration order.
+  SweepRunner runner(ctx.threads);
   std::uint64_t sweep_point = 0;
   for (const LatencyKind kind : sweep) {
     const double shape = shape_for(kind);
-    const auto model = make_latency_model(kind, mean, shape);
-    struct Row {
+    const std::shared_ptr<const LatencyModel> model =
+        make_latency_model(kind, mean, shape);
+    const struct {
       const char* protocol;
-      std::vector<std::vector<double>> slots;
-    };
-    Row rows[] = {
+      SweepRunner::Body body;
+    } cells[] = {
         {"two_choices",
-         run_cell<TwoChoicesAsyncDelayed, TwoChoicesAsync>(
-             ctx, plan, any, csr, *model, sweep_point * 2)},
+         cell_body<TwoChoicesAsyncDelayed, TwoChoicesAsync>(ctx, plan, any,
+                                                            csr, model)},
         {"three_majority",
-         run_cell<ThreeMajorityAsyncDelayed, ThreeMajorityAsync>(
-             ctx, plan, any, csr, *model, sweep_point * 2 + 1)},
+         cell_body<ThreeMajorityAsyncDelayed, ThreeMajorityAsync>(
+             ctx, plan, any, csr, model)},
     };
-    ++sweep_point;
-    for (const Row& row : rows) {
-      // `shape` only describes the Pareto/aging samplers; the other
-      // families' records carry no shape key at all.
-      if (uses_shape(kind)) {
-        ctx.record("time_vs_model",
-                   {{"protocol", row.protocol},
-                    {"latency", latency_kind_name(kind)},
-                    {"n", n_eff},
-                    {"mean_delay", mean},
-                    {"shape", shape}},
-                   row.slots[0]);
-      } else {
-        ctx.record("time_vs_model",
-                   {{"protocol", row.protocol},
-                    {"latency", latency_kind_name(kind)},
-                    {"n", n_eff},
-                    {"mean_delay",
-                     kind == LatencyKind::kZero ? 0.0 : mean}},
-                   row.slots[0]);
-      }
-      const Summary time = summarize(row.slots[0]);
-      Table& with_shape = table.row()
-                              .cell(row.protocol)
-                              .cell(latency_kind_name(kind));
-      if (uses_shape(kind)) {
-        with_shape.cell(shape, 1);
-      } else {
-        with_shape.cell("-");
-      }
-      with_shape.cell(time.mean, 1)
-          .cell(time.ci95_halfwidth, 1)
-          .cell(summarize(row.slots[1]).mean, 2);
-      if (std::string(row.protocol) == "two_choices") {
-        if (kind == LatencyKind::kExponential) mean_exp = time.mean;
-        if (kind == LatencyKind::kAging) mean_aging = time.mean;
-        if (kind == LatencyKind::kPareto) mean_pareto = time.mean;
-      }
+    for (const auto& cell : cells) {
+      runner.add_point(
+          ctx.reps, 2, ctx.seeds_for(sweep_point++), cell.body,
+          [&ctx, &table, &uses_shape, &mean_exp, &mean_aging, &mean_pareto,
+           n_eff, mean, protocol = cell.protocol, kind,
+           shape](const auto& slots) {
+            // `shape` only describes the Pareto/aging samplers; the
+            // other families' records carry no shape key at all.
+            if (uses_shape(kind)) {
+              ctx.record("time_vs_model",
+                         {{"protocol", protocol},
+                          {"latency", latency_kind_name(kind)},
+                          {"n", n_eff},
+                          {"mean_delay", mean},
+                          {"shape", shape}},
+                         slots[0]);
+            } else {
+              ctx.record("time_vs_model",
+                         {{"protocol", protocol},
+                          {"latency", latency_kind_name(kind)},
+                          {"n", n_eff},
+                          {"mean_delay",
+                           kind == LatencyKind::kZero ? 0.0 : mean}},
+                         slots[0]);
+            }
+            const Summary time = summarize(slots[0]);
+            Table& with_shape =
+                table.row().cell(protocol).cell(latency_kind_name(kind));
+            if (uses_shape(kind)) {
+              with_shape.cell(shape, 1);
+            } else {
+              with_shape.cell("-");
+            }
+            with_shape.cell(time.mean, 1)
+                .cell(time.ci95_halfwidth, 1)
+                .cell(summarize(slots[1]).mean, 2);
+            if (std::string(protocol) == "two_choices") {
+              if (kind == LatencyKind::kExponential) mean_exp = time.mean;
+              if (kind == LatencyKind::kAging) mean_aging = time.mean;
+              if (kind == LatencyKind::kPareto) mean_pareto = time.mean;
+            }
+          });
     }
   }
+  runner.run();
   table.print(std::cout, ctx.csv);
 
   if (!ctx.csv && mean_exp > 0.0 && mean_aging > 0.0 && mean_pareto > 0.0) {

@@ -5,6 +5,10 @@
 // sim/continuous_engine.hpp); the table runs the same protocols under
 // all three and compares the consensus-time distributions.
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
@@ -18,44 +22,38 @@ using namespace plurality;
 
 namespace {
 
+/// One repetition: a fresh protocol from `make_proto`, run on `engine`.
+template <typename MakeProto, typename Engine>
+double consensus_time(const MakeProto& make_proto, const Engine& engine,
+                      Xoshiro256& rng) {
+  auto proto = make_proto(rng);
+  return engine(proto, rng).time;
+}
+
+/// Declares one protocol's three engine points (sequential,
+/// superposition, heap); each point's finish appends its samples to
+/// `times`.
 template <typename MakeProto>
-void compare_models(ExperimentContext& ctx, Table& table,
-                    const std::string& name, std::uint64_t sweep_point,
-                    MakeProto&& make_proto) {
-  const auto run_with = [&](std::uint64_t seed_slot, auto&& engine) {
-    return run_repetitions(
-        ctx.reps, ctx.seeds_for(sweep_point * 3 + seed_slot),
-        [&](std::uint64_t, Xoshiro256& rng) {
-          auto proto = make_proto(rng);
-          return engine(proto, rng).time;
+void compare_models(SweepRunner& sweep, const ExperimentContext& ctx,
+                    std::vector<std::vector<double>>& times,
+                    std::uint64_t sweep_point, MakeProto make_proto) {
+  const auto add = [&](std::uint64_t seed_slot, auto engine) {
+    sweep.add_point(
+        ctx.reps, 1, ctx.seeds_for(sweep_point * 3 + seed_slot),
+        [make_proto, engine](std::uint64_t, Xoshiro256& rng) {
+          return std::vector<double>{consensus_time(make_proto, engine, rng)};
         },
-        ctx.threads);
+        [&times](const auto& slots) { times.push_back(slots[0]); });
   };
-  const auto seq = run_with(0, [](auto& proto, Xoshiro256& rng) {
+  add(0, [](auto& proto, Xoshiro256& rng) {
     return run_sequential(proto, rng, 1e6);
   });
-  const auto sup = run_with(1, [](auto& proto, Xoshiro256& rng) {
+  add(1, [](auto& proto, Xoshiro256& rng) {
     return run_continuous(proto, rng, 1e6);
   });
-  const auto heap = run_with(2, [](auto& proto, Xoshiro256& rng) {
+  add(2, [](auto& proto, Xoshiro256& rng) {
     return run_continuous_heap(proto, rng, 1e6);
   });
-  ctx.record("sequential_time", {{"protocol", name.c_str()}}, seq);
-  ctx.record("superposition_time", {{"protocol", name.c_str()}}, sup);
-  ctx.record("heap_time", {{"protocol", name.c_str()}}, heap);
-  const Summary s = summarize(seq);
-  const Summary c = summarize(sup);
-  const Summary h = summarize(heap);
-  table.row()
-      .cell(name)
-      .cell(s.mean, 2)
-      .cell(s.ci95_halfwidth, 2)
-      .cell(c.mean, 2)
-      .cell(c.ci95_halfwidth, 2)
-      .cell(h.mean, 2)
-      .cell(h.ci95_halfwidth, 2)
-      .cell(s.mean / c.mean, 3)
-      .cell(h.mean / c.mean, 3);
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -71,25 +69,52 @@ int run_exp(ExperimentContext& ctx) {
               {"protocol", "seq_mean", "seq_ci95", "sup_mean", "sup_ci95",
                "heap_mean", "heap_ci95", "seq/sup", "heap/sup"});
 
-  compare_models(ctx, table, "two_choices (c1=3n/4)", 0,
-                 [&](Xoshiro256& rng) {
-                   return TwoChoicesAsync<CompleteGraph>(
-                       g, assign_two_colors(n, (n * 3) / 4, rng));
-                 });
-  compare_models(ctx, table, "two_choices k=8 tied", 1,
-                 [&](Xoshiro256& rng) {
-                   return TwoChoicesAsync<CompleteGraph>(
-                       g, assign_plurality_bias(n, 8, n / 17, rng));
-                 });
-  compare_models(ctx, table, "three_majority (c1=3n/4)", 2,
-                 [&](Xoshiro256& rng) {
-                   return ThreeMajorityAsync<CompleteGraph>(
-                       g, assign_two_colors(n, (n * 3) / 4, rng));
-                 });
-  compare_models(ctx, table, "voter (c1=7n/8)", 3, [&](Xoshiro256& rng) {
+  // All protocol x engine points on one job graph; finish callbacks run
+  // in declaration order, so times[3 * p + e] holds protocol p's
+  // samples on engine e.
+  SweepRunner sweep(ctx.threads);
+  std::vector<std::vector<double>> times;
+  compare_models(sweep, ctx, times, 0, [&](Xoshiro256& rng) {
+    return TwoChoicesAsync<CompleteGraph>(
+        g, assign_two_colors(n, (n * 3) / 4, rng));
+  });
+  compare_models(sweep, ctx, times, 1, [&](Xoshiro256& rng) {
+    return TwoChoicesAsync<CompleteGraph>(
+        g, assign_plurality_bias(n, 8, n / 17, rng));
+  });
+  compare_models(sweep, ctx, times, 2, [&](Xoshiro256& rng) {
+    return ThreeMajorityAsync<CompleteGraph>(
+        g, assign_two_colors(n, (n * 3) / 4, rng));
+  });
+  compare_models(sweep, ctx, times, 3, [&](Xoshiro256& rng) {
     return VoterAsync<CompleteGraph>(
         g, assign_two_colors(n, (n * 7) / 8, rng));
   });
+  sweep.run();
+
+  const char* const names[] = {"two_choices (c1=3n/4)",
+                               "two_choices k=8 tied",
+                               "three_majority (c1=3n/4)", "voter (c1=7n/8)"};
+  for (std::size_t p = 0; p < std::size(names); ++p) {
+    const std::vector<double>* engine_times = &times[3 * p];
+    ctx.record("sequential_time", {{"protocol", names[p]}}, engine_times[0]);
+    ctx.record("superposition_time", {{"protocol", names[p]}},
+               engine_times[1]);
+    ctx.record("heap_time", {{"protocol", names[p]}}, engine_times[2]);
+    const Summary s = summarize(engine_times[0]);
+    const Summary c = summarize(engine_times[1]);
+    const Summary h = summarize(engine_times[2]);
+    table.row()
+        .cell(names[p])
+        .cell(s.mean, 2)
+        .cell(s.ci95_halfwidth, 2)
+        .cell(c.mean, 2)
+        .cell(c.ci95_halfwidth, 2)
+        .cell(h.mean, 2)
+        .cell(h.ci95_halfwidth, 2)
+        .cell(s.mean / c.mean, 3)
+        .cell(h.mean / c.mean, 3);
+  }
 
   table.print(std::cout, ctx.csv);
   return 0;

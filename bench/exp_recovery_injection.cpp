@@ -33,27 +33,28 @@ namespace {
 constexpr double kProbeTimes[] = {5.0,  10.0, 12.0, 16.0,
                                   24.0, 40.0, 80.0, 160.0};
 
-struct Cell {
-  Summary recovery;        ///< mean per-event time-to-reconverge
-  Summary final_recovery;  ///< consensus time minus last event time
-  Summary min_agreement;   ///< deepest live-agreement dip
-};
-
+/// Declares one engine x rate x protocol cell on `sweep`. `cell_plan`
+/// is copied into the body: the leaves run after the declaring loop
+/// iteration has ended. The finish records the series, prints the
+/// table row and appends the mean-recovery summary to `recoveries`
+/// (finish callbacks run in declaration order).
 template <template <GraphTopology> class Proto>
-Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
-              const AnyGraph& any, const CsrTopology& csr,
-              const char* protocol, const char* engine_name, double rate,
-              std::uint64_t c1, double horizon, double sample_every,
+void add_cell(SweepRunner& sweep, Table& table,
+              std::vector<Summary>& recoveries, ExperimentContext& ctx,
+              const bench::RunPlan& cell_plan, const AnyGraph& any,
+              const CsrTopology& csr, const char* protocol,
+              const char* engine_name, double rate, std::uint64_t c1,
+              double horizon, double sample_every,
               std::uint64_t sweep_point) {
   const std::uint64_t n = csr.num_nodes();
-  const ColorId k = 2;
-  const auto seeds = ctx.seeds_for(sweep_point);
   const bool wants_churn =
       cell_plan.perturb.kind == PerturbKind::kChurn &&
       !csr.is_implicit_complete();
-  const auto slots = run_repetitions_multi(
-      ctx.reps, 3 + std::size(kProbeTimes), seeds,
-      [&](std::uint64_t, Xoshiro256& rng) {
+  sweep.add_point(
+      ctx.reps, 3 + std::size(kProbeTimes), ctx.seeds_for(sweep_point),
+      [&ctx, &any, &csr, cell_plan, n, c1, horizon, sample_every,
+       wants_churn](std::uint64_t, Xoshiro256& rng) {
+        const ColorId k = 2;
         auto workload =
             bench::place_on(ctx, any, counts_two_colors(n, c1), rng);
         // Churn rewires edges in place, so each repetition mutates its
@@ -95,29 +96,39 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
         }
         return out;
       },
-      ctx.threads);
-  ctx.record("recovery_time_vs_rate",
-             {{"protocol", protocol},
-              {"engine", engine_name},
-              {"rate", rate},
-              {"n", n}},
-             slots[0]);
-  ctx.record("final_recovery_vs_rate",
-             {{"protocol", protocol},
-              {"engine", engine_name},
-              {"rate", rate},
-              {"n", n}},
-             slots[1]);
-  for (std::size_t i = 0; i < std::size(kProbeTimes); ++i) {
-    ctx.record("live_agreement_trace",
-               {{"protocol", protocol},
-                {"engine", engine_name},
-                {"rate", rate},
-                {"t", kProbeTimes[i]}},
-               slots[3 + i]);
-  }
-  return Cell{summarize(slots[0]), summarize(slots[1]),
-              summarize(slots[2])};
+      [&ctx, &table, &recoveries, protocol, engine_name, rate,
+       n](const auto& slots) {
+        ctx.record("recovery_time_vs_rate",
+                   {{"protocol", protocol},
+                    {"engine", engine_name},
+                    {"rate", rate},
+                    {"n", n}},
+                   slots[0]);
+        ctx.record("final_recovery_vs_rate",
+                   {{"protocol", protocol},
+                    {"engine", engine_name},
+                    {"rate", rate},
+                    {"n", n}},
+                   slots[1]);
+        for (std::size_t i = 0; i < std::size(kProbeTimes); ++i) {
+          ctx.record("live_agreement_trace",
+                     {{"protocol", protocol},
+                      {"engine", engine_name},
+                      {"rate", rate},
+                      {"t", kProbeTimes[i]}},
+                     slots[3 + i]);
+        }
+        const Summary recovery = summarize(slots[0]);
+        table.row()
+            .cell(engine_name)
+            .cell(protocol)
+            .cell(rate, 2)
+            .cell(recovery.mean, 2)
+            .cell(recovery.ci95_halfwidth, 2)
+            .cell(summarize(slots[1]).mean, 2)
+            .cell(summarize(slots[2]).mean, 3);
+        recoveries.push_back(recovery);
+      });
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -177,46 +188,42 @@ int run_exp(ExperimentContext& ctx) {
     double mean = -1.0;
     double se = 0.0;
   };
+  // Every engine x rate x protocol cell on one job graph; the
+  // monotonicity lines read the recovery summaries back in declaration
+  // order.
+  SweepRunner sweep(ctx.threads);
+  std::vector<Summary> recoveries;
   std::uint64_t sweep_point = 0;
-  double worst_z = 1e300;
-  bool have_z = false;
   for (const EngineKind engine : engines) {
-    const char* engine_name = engine_kind_name(engine);
-    Anchor low;
     for (const double rate : rates) {
       bench::RunPlan cell_plan = plan;
       cell_plan.engine = engine;
       cell_plan.perturb.rate = rate;
-      struct Row {
-        const char* protocol;
-        Cell cell;
-      };
-      const Row rows[] = {
-          {"two_choices",
-           run_cell<TwoChoicesAsync>(ctx, cell_plan, any, csr,
-                                     "two_choices", engine_name, rate, c1,
-                                     horizon, sample_every,
-                                     sweep_point * 2)},
-          {"three_majority",
-           run_cell<ThreeMajorityAsync>(ctx, cell_plan, any, csr,
-                                        "three_majority", engine_name,
-                                        rate, c1, horizon, sample_every,
-                                        sweep_point * 2 + 1)},
-      };
+      add_cell<TwoChoicesAsync>(sweep, table, recoveries, ctx, cell_plan,
+                                any, csr, "two_choices",
+                                engine_kind_name(engine), rate, c1,
+                                horizon, sample_every, sweep_point * 2);
+      add_cell<ThreeMajorityAsync>(sweep, table, recoveries, ctx,
+                                   cell_plan, any, csr, "three_majority",
+                                   engine_kind_name(engine), rate, c1,
+                                   horizon, sample_every,
+                                   sweep_point * 2 + 1);
       ++sweep_point;
-      for (const Row& row : rows) {
-        table.row()
-            .cell(engine_name)
-            .cell(row.protocol)
-            .cell(rate, 2)
-            .cell(row.cell.recovery.mean, 2)
-            .cell(row.cell.recovery.ci95_halfwidth, 2)
-            .cell(row.cell.final_recovery.mean, 2)
-            .cell(row.cell.min_agreement.mean, 3);
-      }
+    }
+  }
+  sweep.run();
+
+  double worst_z = 1e300;
+  bool have_z = false;
+  std::size_t next_cell = 0;
+  for (const EngineKind engine : engines) {
+    const char* engine_name = engine_kind_name(engine);
+    Anchor low;
+    for (const double rate : rates) {
       // Monotonicity bookkeeping on two_choices: lowest swept rate is
       // the anchor, the highest is compared against it per engine.
-      const Summary& tc = rows[0].cell.recovery;
+      const Summary& tc = recoveries[next_cell];  // two_choices cell
+      next_cell += 2;
       const double se = tc.ci95_halfwidth / 1.96;
       if (rate == rates.front()) {
         low = Anchor{tc.mean, se};

@@ -4,6 +4,11 @@
 // (mean delay 1/mu) on the delayed protocol, with the instant-response
 // protocol as the baseline row.
 
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "core/async_one_extra_bit.hpp"
 #include "core/delayed.hpp"
@@ -33,65 +38,60 @@ int run_exp(ExperimentContext& ctx) {
                   std::to_string(n) + ", k=4)",
               {"mean_delay", "mean_time", "ci95", "win_rate", "success"});
 
+  // The instant baseline and the delay sweep on one job graph; records
+  // and rows come from the finish callbacks in declaration order.
+  SweepRunner sweep(ctx.threads);
+  const auto add_row = [&](std::uint64_t sweep_point, std::string label,
+                           double mean_delay, SweepRunner::Body body) {
+    sweep.add_point(
+        ctx.reps, 3, ctx.seeds_for(sweep_point), std::move(body),
+        [&ctx, &table, n, k, label, mean_delay](const auto& slots) {
+          ctx.record("time_vs_delay",
+                     {{"n", n}, {"k", k}, {"mean_delay", mean_delay}},
+                     slots[0]);
+          const Summary time = summarize(slots[0]);
+          table.row()
+              .cell(label)
+              .cell(time.mean, 1)
+              .cell(time.ci95_halfwidth, 1)
+              .cell(summarize(slots[1]).mean, 2)
+              .cell(summarize(slots[2]).mean, 2);
+        });
+  };
+  const auto outcome = [](const AsyncRunResult& result) {
+    return std::vector<double>{
+        result.time, (result.consensus && result.winner == 0) ? 1.0 : 0.0,
+        result.consensus ? 1.0 : 0.0};
+  };
+
   // Baseline: instant responses (the paper's base model).
-  {
-    const auto seeds = ctx.seeds_for(0);
-    const auto slots = run_repetitions_multi(
-        ctx.reps, 3, seeds,
-        [&](std::uint64_t, Xoshiro256& rng) {
-          auto proto = AsyncOneExtraBit<CompleteGraph>::make(
-              g, bench::place_on(ctx, g, counts_plurality_bias(n, k, bias),
-                                 rng));
-          const auto result = bench::run(plan, proto, rng, 1e5);
-          return std::vector<double>{
-              result.time,
-              (result.consensus && result.winner == 0) ? 1.0 : 0.0,
-              result.consensus ? 1.0 : 0.0};
-        },
-        ctx.threads);
-    ctx.record("time_vs_delay", {{"n", n}, {"k", k}, {"mean_delay", 0.0}},
-               slots[0]);
-    const Summary time = summarize(slots[0]);
-    table.row()
-        .cell("0 (instant)")
-        .cell(time.mean, 1)
-        .cell(time.ci95_halfwidth, 1)
-        .cell(summarize(slots[1]).mean, 2)
-        .cell(summarize(slots[2]).mean, 2);
-  }
+  add_row(0, "0 (instant)", 0.0,
+          [&ctx, &plan, &g, n, k, bias, outcome](std::uint64_t,
+                                                 Xoshiro256& rng) {
+            auto proto = AsyncOneExtraBit<CompleteGraph>::make(
+                g, bench::place_on(ctx, g,
+                                   counts_plurality_bias(n, k, bias), rng));
+            return outcome(bench::run(plan, proto, rng, 1e5));
+          });
 
   std::uint64_t sweep_point = 1;
   for (const double rate : {20.0, 4.0, 1.0, 0.25}) {
-    const auto seeds = ctx.seeds_for(sweep_point++);
     // The §4 delay law as a LatencyModel: the driver owns the draws,
     // the protocol no longer hand-rolls exponential delays.
     const ExponentialLatency latency(1.0 / rate);
-    const auto slots = run_repetitions_multi(
-        ctx.reps, 3, seeds,
-        [&](std::uint64_t, Xoshiro256& rng) {
-          auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
-              g, bench::place_on(ctx, g, counts_plurality_bias(n, k, bias),
-                                 rng));
-          const auto result =
-              bench::run(plan, proto, latency, rng, 1e5);
-          return std::vector<double>{
-              result.time,
-              (result.consensus && result.winner == 0) ? 1.0 : 0.0,
-              result.consensus ? 1.0 : 0.0};
-        },
-        ctx.threads);
-    ctx.record("time_vs_delay",
-               {{"n", n}, {"k", k}, {"mean_delay", 1.0 / rate}}, slots[0]);
-    const Summary time = summarize(slots[0]);
     char label[32];
     std::snprintf(label, sizeof label, "%.2f", 1.0 / rate);
-    table.row()
-        .cell(label)
-        .cell(time.mean, 1)
-        .cell(time.ci95_halfwidth, 1)
-        .cell(summarize(slots[1]).mean, 2)
-        .cell(summarize(slots[2]).mean, 2);
+    add_row(sweep_point++, label, 1.0 / rate,
+            [&ctx, &plan, &g, n, k, bias, outcome,
+             latency](std::uint64_t, Xoshiro256& rng) {
+              auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
+                  g, bench::place_on(ctx, g,
+                                     counts_plurality_bias(n, k, bias),
+                                     rng));
+              return outcome(bench::run(plan, proto, latency, rng, 1e5));
+            });
   }
+  sweep.run();
 
   table.print(std::cout, ctx.csv);
   return 0;

@@ -9,6 +9,7 @@
 // and --placement= to start from a non-uniform configuration.
 
 #include <cmath>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -23,21 +24,17 @@ using namespace plurality;
 
 namespace {
 
-void measure(ExperimentContext& ctx, const bench::RunPlan& plan,
-             Table& table, const std::string& name, const AnyGraph& any,
-             double horizon, std::uint64_t sweep_point) {
-  // One flat CSR view per sweep point: the protocols are instantiated
-  // once (over CsrTopology, not once per concrete family) and every
-  // engine — including the sharded workers — samples neighbors through
-  // the same immutable structure. Placement still runs on the concrete
-  // graph (it needs communities/cut structure).
-  const CsrTopology csr = make_csr_view(any);
+void measure(SweepRunner& sweep, ExperimentContext& ctx,
+             const bench::RunPlan& plan, Table& table,
+             const std::string& name, const AnyGraph& any,
+             const CsrTopology& csr, double horizon,
+             std::uint64_t sweep_point) {
   const std::uint64_t n = csr.num_nodes();
   const std::uint64_t c1 = (n * 3) / 4;
-  const auto seeds = ctx.seeds_for(sweep_point);
-  const auto slots = run_repetitions_multi(
-      ctx.reps, 4, seeds,
-      [&](std::uint64_t, Xoshiro256& rng) {
+  sweep.add_point(
+      ctx.reps, 4, ctx.seeds_for(sweep_point),
+      [&ctx, &plan, &any, &csr, n, c1, horizon](std::uint64_t,
+                                                Xoshiro256& rng) {
         TwoChoicesAsync tc(
             csr, bench::place_on(ctx, any, counts_two_colors(n, c1), rng));
         const auto tc_result = bench::run(plan, tc, rng, horizon);
@@ -48,16 +45,18 @@ void measure(ExperimentContext& ctx, const bench::RunPlan& plan,
             tc_result.time, tc_result.consensus ? 1.0 : 0.0,
             voter_result.time, voter_result.consensus ? 1.0 : 0.0};
       },
-      ctx.threads);
-  ctx.record("tc_time", {{"n", n}, {"topology", name.c_str()}}, slots[0]);
-  ctx.record("voter_time", {{"n", n}, {"topology", name.c_str()}},
-             slots[2]);
-  table.row()
-      .cell(name)
-      .cell(summarize(slots[0]).mean, 1)
-      .cell(summarize(slots[1]).mean, 2)
-      .cell(summarize(slots[2]).mean, 1)
-      .cell(summarize(slots[3]).mean, 2);
+      [&ctx, &table, name, n](const auto& slots) {
+        ctx.record("tc_time", {{"n", n}, {"topology", name.c_str()}},
+                   slots[0]);
+        ctx.record("voter_time", {{"n", n}, {"topology", name.c_str()}},
+                   slots[2]);
+        table.row()
+            .cell(name)
+            .cell(summarize(slots[0]).mean, 1)
+            .cell(summarize(slots[1]).mean, 2)
+            .cell(summarize(slots[2]).mean, 1)
+            .cell(summarize(slots[3]).mean, 2);
+      });
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -115,12 +114,23 @@ int run_exp(ExperimentContext& ctx) {
     };
   }
 
+  // Every row on one job graph. The graphs are still built here, in row
+  // order from build_rng; the deques keep each graph and its flat CSR
+  // view (one protocol instantiation for every family and engine;
+  // placement runs on the concrete graph) at a stable address until the
+  // leaves are done.
+  SweepRunner runner(ctx.threads);
+  std::deque<AnyGraph> graphs;
+  std::deque<CsrTopology> views;
   std::uint64_t sweep_point = 0;
   for (const Sweep& sweep : sweeps) {
     ctx.note_effective_graph(graph_kind_name(sweep.spec.kind));
-    const AnyGraph g = make_graph(sweep.spec, n, build_rng);
-    measure(ctx, plan, table, sweep.label, g, horizon, sweep_point++);
+    graphs.push_back(make_graph(sweep.spec, n, build_rng));
+    views.push_back(make_csr_view(graphs.back()));
+    measure(runner, ctx, plan, table, sweep.label, graphs.back(),
+            views.back(), horizon, sweep_point++);
   }
+  runner.run();
 
   table.print(std::cout, ctx.csv);
   return 0;

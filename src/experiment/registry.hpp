@@ -49,10 +49,10 @@ class ExperimentContext {
       : args(std::move(arguments)),
         master_seed(args.get_u64("seed", 42)),
         reps(args.get_u64("reps", default_reps)),
-        threads(static_cast<unsigned>(args.get_u64("threads", 0))),
+        threads(get_u32(args, "threads", 0)),
         engine(args.get_string("engine", "")),
-        shards(static_cast<unsigned>(args.get_u64("shards", 0))),
-        jobs(static_cast<unsigned>(args.get_u64("jobs", 0))),
+        shards(get_u32(args, "shards", 0)),
+        jobs(get_u32(args, "jobs", 0)),
         csv(args.csv()) {
     // Resolve --jobs=0 (hardware concurrency) up front and configure
     // the process-wide thread cap: the work-stealing executor gets
@@ -61,7 +61,9 @@ class ExperimentContext {
     // is a hard ceiling on process concurrency. The resolved value lands
     // in every JSON record (jobs_effective); results are bit-identical
     // across --jobs= values by the determinism contract, so the record
-    // field documents the schedule, not the trajectory.
+    // field documents the schedule, not the trajectory. The initializers
+    // above already range-checked --jobs/--shards/--threads, so a
+    // wrapping value fails before any worker thread starts.
     if (jobs == 0) {
       jobs = std::max(1u, std::thread::hardware_concurrency());
     }
@@ -103,19 +105,8 @@ class ExperimentContext {
     // under an adversarial-sounding label.
     graph.kind = parse_graph_kind(args.get_string("graph", "complete"));
     graph.er_p = args.get_double("graph-p", graph.er_p);
-    // Range-check before narrowing: a u64 that wraps to a small u32
-    // would silently run a different scenario than requested.
-    const auto get_u32 = [&](const char* key, std::uint32_t fallback) {
-      const std::uint64_t value = args.get_u64(key, fallback);
-      if (value > 0xFFFFFFFFull) {
-        throw ContractViolation(std::string("--") + key +
-                                " expects a 32-bit value, got " +
-                                std::to_string(value));
-      }
-      return static_cast<std::uint32_t>(value);
-    };
-    graph.degree = get_u32("graph-degree", graph.degree);
-    graph.blocks = get_u32("graph-blocks", graph.blocks);
+    graph.degree = get_u32(args, "graph-degree", graph.degree);
+    graph.blocks = get_u32(args, "graph-blocks", graph.blocks);
     graph.p_in = args.get_double("graph-pin", graph.p_in);
     graph.p_out = args.get_double("graph-pout", graph.p_out);
     graph.validate();
@@ -316,7 +307,7 @@ class ExperimentContext {
 
   /// Same for the topology share (CSR offsets + edges per node; the
   /// implicit clique costs zero). Noted where graphs are built
-  /// (bench_common::with_topology and the factory-driven sweeps).
+  /// (bench_common::make_topology and the factory-driven sweeps).
   void note_topology_bytes_per_node(double bytes) const {
     const std::lock_guard<std::mutex> lock(engines_mutex_);
     topology_bytes_per_node_ = std::max(topology_bytes_per_node_, bytes);
@@ -330,6 +321,20 @@ class ExperimentContext {
   }
 
  private:
+  /// --key= as a 32-bit value, range-checked before narrowing: a u64
+  /// that wraps to a small u32 would silently run a different scenario
+  /// (or thread count) than requested.
+  static std::uint32_t get_u32(const Args& args, const char* key,
+                               std::uint32_t fallback) {
+    const std::uint64_t value = args.get_u64(key, fallback);
+    if (value > 0xFFFFFFFFull) {
+      throw ContractViolation(std::string("--") + key +
+                              " expects a 32-bit value, got " +
+                              std::to_string(value));
+    }
+    return static_cast<std::uint32_t>(value);
+  }
+
   JsonValue series_ = JsonValue::array();
   mutable std::mutex engines_mutex_;
   mutable std::set<std::string> engines_used_;

@@ -24,59 +24,6 @@ std::vector<std::vector<double>> transpose_rows(
 
 }  // namespace
 
-std::vector<std::vector<double>> run_repetitions_multi(
-    std::uint64_t reps, std::size_t slots, const SeedSequence& seeds,
-    const std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>&
-        body,
-    unsigned threads) {
-  PC_EXPECTS(reps >= 1);
-  PC_EXPECTS(slots >= 1);
-
-  // results[rep][slot]; each repetition writes its own row, so no locks.
-  std::vector<std::vector<double>> per_rep(reps);
-
-  if (threads == 1) {
-    // Pure serial on the caller: the baseline the determinism tests
-    // compare every parallel schedule against.
-    for (std::uint64_t rep = 0; rep < reps; ++rep) {
-      Xoshiro256 rng = seeds.make_rng(rep);
-      per_rep[rep] = body(rep, rng);
-    }
-    return transpose_rows(per_rep, slots);
-  }
-
-  jobs::JobGraph graph;
-  std::vector<jobs::JobGraph::JobId> leaves;
-  leaves.reserve(reps);
-  for (std::uint64_t rep = 0; rep < reps; ++rep) {
-    leaves.push_back(graph.add([&seeds, &body, &per_rep, rep] {
-      Xoshiro256 rng = seeds.make_rng(rep);
-      per_rep[rep] = body(rep, rng);
-    }));
-    // A chain to leaf rep - threads caps in-flight repetitions at
-    // `threads` without a shared counter (threads == 0: no cap; the
-    // executor's --jobs= worker budget is then the only limit).
-    if (threads != 0 && rep >= threads) {
-      graph.depend(leaves[rep], leaves[rep - threads]);
-    }
-  }
-  jobs::Executor::process().run(graph);
-  return transpose_rows(per_rep, slots);
-}
-
-std::vector<double> run_repetitions(
-    std::uint64_t reps, const SeedSequence& seeds,
-    const std::function<double(std::uint64_t, Xoshiro256&)>& body,
-    unsigned threads) {
-  auto multi = run_repetitions_multi(
-      reps, 1, seeds,
-      [&body](std::uint64_t rep, Xoshiro256& rng) {
-        return std::vector<double>{body(rep, rng)};
-      },
-      threads);
-  return std::move(multi[0]);
-}
-
 void SweepRunner::add_point(std::uint64_t reps, std::size_t slots,
                             SeedSequence seeds, Body body, Finish finish) {
   PC_EXPECTS(!ran_);

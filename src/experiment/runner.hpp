@@ -1,23 +1,18 @@
 #pragma once
 
 /// \file runner.hpp
-/// Seeded repetition runner on top of the process-wide work-stealing
-/// executor (src/jobs/). Each repetition gets its own RNG stream
-/// derived from (master seed, repetition index), so results are
+/// Seeded sweep runner on top of the process-wide work-stealing
+/// executor (src/jobs/). A whole sweep is declared up front as a DAG
+/// of (sweep-point, repetition) leaf jobs on ONE executor submission,
+/// so short points at the end of a sweep fill the cores that long
+/// early points leave idle. Each repetition gets its own RNG stream
+/// derived from (point seed, repetition index), so results are
 /// identical regardless of the number of worker threads — determinism
-/// is a property of the seed, parallelism only changes wall-clock time.
-///
-/// Two entry points:
-///   - run_repetitions / run_repetitions_multi: one sweep point, reps
-///     fanned out as executor jobs (the historical API, unchanged);
-///   - SweepRunner: a whole sweep declared up front as a DAG of
-///     (sweep-point, repetition) leaf jobs on ONE executor submission,
-///     so short points at the end of a sweep fill the cores that long
-///     early points leave idle. Per-point completion callbacks run on
-///     the calling thread in declaration order after the DAG drains,
-///     which keeps Welford aggregation, BENCH JSON records, and table
-///     printing bit-identical to a serial run regardless of job
-///     completion order.
+/// is a property of the seed, parallelism only changes wall-clock
+/// time. Per-point completion callbacks run on the calling thread in
+/// declaration order after the DAG drains, which keeps Welford
+/// aggregation, BENCH JSON records, and table printing bit-identical
+/// to a serial run regardless of job completion order.
 
 #include <cstdint>
 #include <functional>
@@ -27,26 +22,6 @@
 #include "support/assert.hpp"
 
 namespace plurality {
-
-/// Runs `reps` repetitions of `body(rep_index, rng)` and collects the
-/// returned doubles in repetition order. `threads` caps how many
-/// repetitions may be in flight at once; 0 = no cap (the executor's
-/// worker count — the --jobs= budget — is then the only limit), 1 =
-/// pure serial on the calling thread. The body must be thread-safe
-/// with respect to its captures (each call receives an independent
-/// RNG).
-std::vector<double> run_repetitions(
-    std::uint64_t reps, const SeedSequence& seeds,
-    const std::function<double(std::uint64_t, Xoshiro256&)>& body,
-    unsigned threads = 0);
-
-/// As run_repetitions, but the body returns several named quantities;
-/// returns one vector per slot, each in repetition order.
-std::vector<std::vector<double>> run_repetitions_multi(
-    std::uint64_t reps, std::size_t slots, const SeedSequence& seeds,
-    const std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>&
-        body,
-    unsigned threads = 0);
 
 /// Declares a whole sweep as one job graph: call add_point() once per
 /// sweep point (in the order rows should be recorded/printed), then
@@ -73,6 +48,10 @@ class SweepRunner {
   /// returning `slots` doubles, seeded from `seeds`. After the whole
   /// sweep completes, `finish(by_slot)` is invoked on the calling
   /// thread with by_slot[slot][rep], points in declaration order.
+  /// Both callbacks run inside run(), after the declaring scope may
+  /// have ended: whatever they capture by reference must outlive
+  /// run(); per-point values (loop variables, plan copies, latency
+  /// models) belong in the captures by value.
   void add_point(std::uint64_t reps, std::size_t slots, SeedSequence seeds,
                  Body body, Finish finish);
 

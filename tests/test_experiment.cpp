@@ -1,14 +1,12 @@
-// Tests for the experiment harness: CLI args, table rendering, and the
-// thread-count-independent repetition runner.
+// Tests for the experiment harness: CLI args and table rendering (the
+// sweep runner is tested with the executor in test_jobs.cpp).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "experiment/args.hpp"
-#include "experiment/runner.hpp"
 #include "experiment/table.hpp"
-#include "rng/distributions.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -145,56 +143,6 @@ TEST(TableTest, RowWidthContract) {
   Table t2("demo", {"a"});
   t2.row().cell("x");
   EXPECT_THROW(t2.row().cell("y").cell("z"), ContractViolation);
-}
-
-TEST(Runner, DeterministicAcrossThreadCounts) {
-  const SeedSequence seeds(31337);
-  auto body = [](std::uint64_t rep, Xoshiro256& rng) {
-    // A value depending on both the stream and the rep index.
-    return static_cast<double>(uniform_below(rng, 1000000)) +
-           static_cast<double>(rep) * 1e7;
-  };
-  const auto serial = run_repetitions(32, seeds, body, 1);
-  const auto parallel = run_repetitions(32, seeds, body, 8);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(Runner, ResultsInRepetitionOrder) {
-  const SeedSequence seeds(1);
-  const auto results = run_repetitions(
-      10, seeds,
-      [](std::uint64_t rep, Xoshiro256&) {
-        return static_cast<double>(rep);
-      },
-      4);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i], static_cast<double>(i));
-  }
-}
-
-TEST(Runner, MultiSlotShapesAndOrder) {
-  const SeedSequence seeds(2);
-  const auto slots = run_repetitions_multi(
-      6, 3, seeds,
-      [](std::uint64_t rep, Xoshiro256&) {
-        const auto r = static_cast<double>(rep);
-        return std::vector<double>{r, r * 10, r * 100};
-      },
-      3);
-  ASSERT_EQ(slots.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_EQ(slots[s].size(), 6u);
-    for (std::size_t rep = 0; rep < 6; ++rep) {
-      EXPECT_DOUBLE_EQ(slots[s][rep],
-                       static_cast<double>(rep) * std::pow(10.0, s));
-    }
-  }
-}
-
-TEST(Runner, Contracts) {
-  const SeedSequence seeds(3);
-  auto body = [](std::uint64_t, Xoshiro256&) { return 0.0; };
-  EXPECT_THROW(run_repetitions(0, seeds, body), ContractViolation);
 }
 
 }  // namespace

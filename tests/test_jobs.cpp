@@ -6,7 +6,7 @@
 // inline degradation, cycle detection, the fork-join primitive
 // (parallel_for: real two-thread execution, progress with every worker
 // busy elsewhere, exception propagation), the unconfigured --jobs= cap,
-// and SweepRunner's determinism / ordering contract.
+// and SweepRunner's determinism / ordering / argument contracts.
 
 #include <gtest/gtest.h>
 
@@ -412,15 +412,18 @@ TEST(SweepRunner, PropagatesBodyExceptions) {
   EXPECT_FALSE(finished);
 }
 
-TEST(RunRepetitions, IdenticalAcrossJobGraphAndSerialPaths) {
-  const SeedSequence seeds(1234);
-  const auto body = [](std::uint64_t, Xoshiro256& rng) {
-    return static_cast<double>(rng.next() % 100000);
+TEST(SweepRunner, Contracts) {
+  SweepRunner sweep(0);
+  const SweepRunner::Body body = [](std::uint64_t, Xoshiro256&) {
+    return std::vector<double>{0.0};
   };
-  const auto serial = run_repetitions(32, seeds, body, 1);
-  for (const unsigned threads : {0u, 2u, 8u}) {
-    EXPECT_EQ(run_repetitions(32, seeds, body, threads), serial);
-  }
+  const SweepRunner::Finish finish = [](const auto&) {};
+  EXPECT_THROW(sweep.add_point(0, 1, SeedSequence(3), body, finish),
+               ContractViolation);
+  EXPECT_THROW(sweep.add_point(1, 0, SeedSequence(3), body, finish),
+               ContractViolation);
+  EXPECT_THROW(sweep.add_point(1, 1, SeedSequence(3), nullptr, finish),
+               ContractViolation);
 }
 
 }  // namespace

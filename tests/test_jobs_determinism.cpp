@@ -6,7 +6,9 @@
 // community graph (synchronous sweep leaves), and two sharded-engine
 // inputs whose epochs fork-join on the same executor from inside the
 // sweep leaves — the plain epoch loop (adversarial_placements) and the
-// latency path's delivery queues (latency_models). This is the
+// latency path's delivery queues (latency_models) — plus the per-cell
+// sweeps (crash_faults, late_adversary, recovery_injection,
+// response_delays, topologies, model_equivalence). This is the
 // executable form of the executor's determinism contract
 // (jobs/executor.hpp): RNG streams are keyed by (seed, sweep-point,
 // rep) — and, for sharded runs, by (seed, shards) — and every rep
@@ -127,11 +129,17 @@ TEST(SchedulingDeterminism, RepeatedParallelRunsAreStable) {
   }
 }
 
-TEST(SchedulingDeterminism, ShardedRunsBitIdenticalAcrossJobsCounts) {
-  // Sharded runs inside sweep leaves: each epoch's shards fork-join on
-  // the executor that also runs the leaves, so at --jobs=2/8 shards land
-  // on arbitrary threads. The (seed, shards) key must make that
-  // invisible. --jobs=1 (every shard inline) is the reference.
+TEST(SchedulingDeterminism, SweepInputsBitIdenticalAcrossJobsCounts) {
+  // Two hazards, one check against the pure serial schedule
+  // (--threads=1 --jobs=1, every leaf and shard inline):
+  //   - sharded runs inside sweep leaves: each epoch's shards fork-join
+  //     on the executor that also runs the leaves, so at --jobs=2/8
+  //     shards land on arbitrary threads; the (seed, shards) key must
+  //     make that invisible;
+  //   - per-cell sweeps: every leaf runs after the loop that declared
+  //     it has ended, so a per-cell value captured by reference (a loop
+  //     variable, a plan copy, a latency model, a topology) would read
+  //     a dead object — the sanitizer jobs report it here.
   const struct {
     const char* name;
     std::vector<const char*> flags;
@@ -142,11 +150,22 @@ TEST(SchedulingDeterminism, ShardedRunsBitIdenticalAcrossJobsCounts) {
       {"latency_models",
        {"--engine=sharded", "--shards=4", "--latency=exp", "--n=1024",
         "--reps=3", "--seed=4242", "--csv"}},
+      {"crash_faults", {"--n=256", "--reps=2", "--seed=77", "--csv"}},
+      {"late_adversary",
+       {"--n=512", "--reps=2", "--horizon=200", "--seed=77", "--csv"}},
+      {"recovery_injection",
+       {"--n=256", "--reps=2", "--horizon=60", "--perturb-budget=8",
+        "--shards=2", "--seed=77", "--csv"}},
+      {"response_delays", {"--n=256", "--reps=2", "--seed=77", "--csv"}},
+      {"topologies",
+       {"--n=256", "--reps=2", "--horizon=100", "--seed=77", "--csv"}},
+      {"model_equivalence", {"--n=128", "--reps=2", "--seed=77", "--csv"}},
   };
   for (const auto& input : inputs) {
-    const RunOutput reference =
-        run_experiment(input.name, input.flags, {"--jobs=1"});
-    ASSERT_NE(reference.record.find("\"series\""), std::string::npos);
+    const RunOutput reference = run_experiment(
+        input.name, input.flags, {"--threads=1", "--jobs=1"});
+    ASSERT_NE(reference.record.find("\"series\""), std::string::npos)
+        << input.name;
     for (const char* jobs : {"--jobs=2", "--jobs=8"}) {
       const RunOutput parallel =
           run_experiment(input.name, input.flags, {jobs});

@@ -13,6 +13,7 @@
 #include "experiment/args.hpp"
 #include "experiment/json_writer.hpp"
 #include "experiment/registry.hpp"
+#include "jobs/budget.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -302,6 +303,38 @@ TEST(Registry, RejectsInvalidScenarioFlags) {
                    *toy, make_args({"--graph=regular",
                                     "--graph-degree=4294967304"})),
                ContractViolation);
+}
+
+TEST(Registry, RejectsOutOfRangeThreadFlags) {
+  // --jobs=/--shards=/--threads= are 32-bit counts. A value past
+  // UINT32_MAX used to wrap silently (--jobs=4294967297 ran on one
+  // thread, --shards=4294967296 resolved to the core count while the
+  // record echoed the raw value); it must fail naming the flag, before
+  // the process executor is reconfigured. Only out-of-range values are
+  // probed here: every one of them is rejected before a thread starts.
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* toy = registry.find("test_toy");
+  ASSERT_NE(toy, nullptr);
+  const unsigned cap_before = jobs::ThreadBudget::global().limit();
+  const struct {
+    const char* flag;
+    const char* arg;
+  } cases[] = {
+      {"--jobs", "--jobs=4294967297"},
+      {"--jobs", "--jobs=18446744073709551615"},
+      {"--shards", "--shards=4294967296"},
+      {"--threads", "--threads=4294967296"},
+  };
+  for (const auto& c : cases) {
+    try {
+      registry.run_to_record(*toy, make_args({c.arg}));
+      ADD_FAILURE() << c.arg << " must throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(c.flag), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(jobs::ThreadBudget::global().limit(), cap_before) << c.arg;
+  }
 }
 
 TEST(Registry, EndToEndRealExperimentProducesValidRecord) {
