@@ -173,6 +173,7 @@ class AsyncOneExtraBit {
   }
 
   const OpinionTable& table() const noexcept { return table_; }
+  OpinionTable& mutable_table() noexcept { return table_; }
   const AsyncSchedule& schedule() const noexcept { return schedule_; }
 
   // --- diagnostics for experiments E7 / E11 and tests ------------------

@@ -1,5 +1,9 @@
 #include "graph/factory.hpp"
 
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
+
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -19,6 +23,36 @@ std::string trimmed(double value) {
   while (s.size() > 1 && s.back() == '0') s.pop_back();
   if (!s.empty() && s.back() == '.') s.pop_back();
   return s;
+}
+
+/// Physical memory in GB; 0 where the platform cannot tell.
+double physical_gb() {
+#ifdef _SC_PHYS_PAGES
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = sysconf(_SC_PAGE_SIZE);
+  if (pages > 0 && page_bytes > 0) {
+    return static_cast<double>(pages) * static_cast<double>(page_bytes) / 1e9;
+  }
+#endif
+  return 0.0;
+}
+
+/// Memory preflight for the dense random families, whose edge count
+/// grows as rate x n^2: rejects a build whose expected adjacency (two
+/// NodeIds per edge) exceeds physical memory, naming the flags, before
+/// any edge is allocated. The build itself peaks higher, so a passing
+/// build is not guaranteed to fit.
+void preflight_edges(std::uint64_t n, double edges,
+                     const std::string& flags) {
+  const double gb = 2.0 * edges * sizeof(NodeId) / 1e9;
+  const double physical = physical_gb();
+  if (physical > 0.0 && gb > physical) {
+    throw ContractViolation(
+        flags + " at --n=" + std::to_string(n) + " projects " +
+        trimmed(std::round(gb)) + " GB of adjacency, more than the " +
+        trimmed(std::round(physical)) +
+        " GB of physical memory; lower --n or the rates");
+  }
 }
 
 }  // namespace
@@ -92,6 +126,9 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
               ? spec.er_p
               : 3.0 * std::log(static_cast<double>(n)) /
                     static_cast<double>(n);
+      const auto nd = static_cast<double>(n);
+      preflight_edges(n, p * nd * (nd - 1.0) / 2.0,
+                      "--graph=er with --graph-p=" + trimmed(p));
       ErdosRenyiGraph g(n, p, rng);
       // Protocols sample a neighbor of *every* node; an isolated node
       // would trip an opaque assert deep inside a worker repetition,
@@ -121,6 +158,16 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
         bad_flag("--graph-blocks", std::to_string(spec.blocks),
                  "at most n blocks");
       }
+      // Within-block pairs as if the blocks were equal (exact when
+      // --graph-blocks divides n).
+      const auto nd = static_cast<double>(n);
+      const double within = nd * (nd / spec.blocks - 1.0) / 2.0;
+      preflight_edges(n,
+                      spec.p_in * within +
+                          spec.p_out * (nd * (nd - 1.0) / 2.0 - within),
+                      "--graph=sbm with --graph-pin=" + trimmed(spec.p_in) +
+                          ", --graph-pout=" + trimmed(spec.p_out) +
+                          ", --graph-blocks=" + std::to_string(spec.blocks));
       StochasticBlockModelGraph g(n, spec.blocks, spec.p_in, spec.p_out,
                                   rng);
       // Same policy as Erdős–Rényi: isolated nodes must fail loudly at

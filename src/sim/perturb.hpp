@@ -13,13 +13,12 @@
 ///                *different* color.
 ///   - crash:     crash-stop scheduled by *global time* — a
 ///                Poisson(rate) stream of single-node crash-stop events
-///                starting at --perturb-start. Unlike CrashAdapter's
-///                own-tick deadlines this composes with the sharded and
-///                queued engines and with random latency, because the
-///                schedule lives in global time, not per-node clocks.
-///                A crashed node keeps its color readable (memory
-///                intact, clock dead) and the engines suppress its
-///                ticks via allows_tick().
+///                starting at --perturb-start. The schedule lives in
+///                global time, not per-node clocks, so it composes with
+///                the sharded and queued engines and with random
+///                latency (experiment B2 runs on it). A crashed node
+///                keeps its color readable (memory intact, clock dead)
+///                and the engines suppress its ticks via allows_tick().
 ///   - churn:     a Poisson(rate) stream of node replacements: the
 ///                departing node's slot is taken by a fresh arrival
 ///                with an independent uniform color, and its incident
@@ -323,9 +322,8 @@ namespace detail {
 
 /// The single-stream engines' drain hook: perturbation writes go
 /// through the protocol's own table, so the protocol must expose
-/// mutable_table(). Protocols without it (stateful adapters like
-/// CrashAdapter) cannot be perturbed — a loud contract violation, not
-/// a silent no-op.
+/// mutable_table(). Protocols without it cannot be perturbed — a loud
+/// contract violation, not a silent no-op.
 template <typename P>
 void drain_perturbations(Perturber* perturb, double now, P& proto) {
   if (perturb == nullptr) return;

@@ -567,5 +567,38 @@ TEST(GraphFactory, RejectsBuildsWithIsolatedNodes) {
   }
 }
 
+TEST(GraphFactory, DenseBuildsBeyondPhysicalMemoryAreRejectedUpFront) {
+  // The SBM defaults keep p_in = 0.3 at every n: at n = 2^26 that
+  // projects ~2e14 edges. The preflight must refuse before building,
+  // so the rng has not been touched either.
+  const std::uint64_t n = 1ull << 26;
+  GraphSpec sbm;
+  sbm.kind = GraphKind::kSbm;
+  GraphSpec er;
+  er.kind = GraphKind::kErdosRenyi;
+  er.er_p = 0.5;
+  const std::pair<GraphSpec, std::vector<const char*>> cases[] = {
+      {sbm, {"--graph=sbm", "--graph-pin=0.3", "--graph-pout=0.01",
+             "--graph-blocks=4"}},
+      {er, {"--graph=er", "--graph-p=0.5"}},
+  };
+  for (const auto& [spec, flags] : cases) {
+    Xoshiro256 rng(25);
+    try {
+      make_graph(spec, n, rng);
+      FAIL() << "expected ContractViolation for " << spec.label();
+    } catch (const ContractViolation& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--n=67108864"), std::string::npos) << message;
+      EXPECT_NE(message.find("physical memory"), std::string::npos)
+          << message;
+      for (const char* flag : flags) {
+        EXPECT_NE(message.find(flag), std::string::npos) << message;
+      }
+    }
+    EXPECT_EQ(rng(), Xoshiro256(25)()) << spec.label();
+  }
+}
+
 }  // namespace
 }  // namespace plurality

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -110,23 +111,29 @@ TEST(Executor, FanOutFanInRespectsDependencies) {
 TEST(Executor, StealsAcrossWorkersUnderUnbalancedLoad) {
   // A root job fans out hundreds of continuations. The finishing worker
   // pushes all of them onto its OWN deque, so every other worker (and
-  // the waiting caller) can only obtain work by stealing. Seeing more
-  // than one executing thread proves the steal path moved jobs.
+  // the waiting caller) can only obtain work by stealing. The first
+  // leaf to start blocks until a second thread has run a leaf, so its
+  // thread cannot drain the deque alone however the host schedules the
+  // workers: only a steal ends the wait. With stealing broken the wait
+  // times out and a single thread is seen.
   constexpr int kJobs = 512;
   JobGraph graph;
   std::mutex mutex;
+  std::condition_variable second_thread_seen;
   std::set<std::thread::id> executors_seen;
+  bool first_leaf_started = false;
   const auto root = graph.add([] {});
   for (int i = 0; i < kJobs; ++i) {
     const auto leaf = graph.add([&] {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        executors_seen.insert(std::this_thread::get_id());
-      }
-      // Enough work that the queue cannot drain before thieves arrive.
-      volatile std::uint64_t sink = 0;
-      for (int spin = 0; spin < 20000; ++spin) {
-        sink = sink + static_cast<std::uint64_t>(spin);
+      std::unique_lock<std::mutex> lock(mutex);
+      executors_seen.insert(std::this_thread::get_id());
+      if (!first_leaf_started) {
+        first_leaf_started = true;
+        second_thread_seen.wait_for(lock, std::chrono::seconds(30), [&] {
+          return executors_seen.size() >= 2;
+        });
+      } else {
+        second_thread_seen.notify_all();
       }
     });
     graph.depend(leaf, root);
@@ -134,9 +141,6 @@ TEST(Executor, StealsAcrossWorkersUnderUnbalancedLoad) {
   Executor executor(3);
   executor.run(graph);
   EXPECT_TRUE(graph.done());
-  // The caller helps too, so with 3 workers up to 4 threads execute;
-  // on a single-core box the schedule may still time-slice across
-  // workers. Require only that work left the owning deque.
   EXPECT_GE(executors_seen.size(), 2u);
 }
 

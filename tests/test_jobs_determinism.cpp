@@ -6,9 +6,11 @@
 // community graph (synchronous sweep leaves), and two sharded-engine
 // inputs whose epochs fork-join on the same executor from inside the
 // sweep leaves — the plain epoch loop (adversarial_placements) and the
-// latency path's delivery queues (latency_models) — plus the per-cell
-// sweeps (crash_faults, late_adversary, recovery_injection,
-// response_delays, topologies, model_equivalence). This is the
+// latency path's delivery queues (latency_models), crash-stop
+// perturbations drained at sharded epoch boundaries (crash_faults
+// --engine=sharded) — plus the per-cell sweeps (crash_faults,
+// late_adversary, recovery_injection, response_delays, topologies,
+// model_equivalence). This is the
 // executable form of the executor's determinism contract
 // (jobs/executor.hpp): RNG streams are keyed by (seed, sweep-point,
 // rep) — and, for sharded runs, by (seed, shards) — and every rep
@@ -151,6 +153,9 @@ TEST(SchedulingDeterminism, SweepInputsBitIdenticalAcrossJobsCounts) {
        {"--engine=sharded", "--shards=4", "--latency=exp", "--n=1024",
         "--reps=3", "--seed=4242", "--csv"}},
       {"crash_faults", {"--n=256", "--reps=2", "--seed=77", "--csv"}},
+      {"crash_faults",
+       {"--engine=sharded", "--shards=4", "--n=256", "--reps=2",
+        "--seed=77", "--csv"}},
       {"late_adversary",
        {"--n=512", "--reps=2", "--horizon=200", "--seed=77", "--csv"}},
       {"recovery_injection",

@@ -3,14 +3,16 @@
 // (seed, shards) — identical event logs and recovery series across
 // reruns, identical event streams across engines for the
 // state-independent kinds — churn's degree-preserving rewiring, the
-// adversary's budget accounting, the recovery helpers, and a
-// sequential-vs-sharded KS/moment gate for crash-by-global-time.
+// adversary's budget accounting, the crash counters against an O(n)
+// rescan, the recovery helpers, and a sequential-vs-sharded KS/moment
+// gate for crash-by-global-time.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/two_choices.hpp"
@@ -18,7 +20,6 @@
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/distributions.hpp"
-#include "sim/crash.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
 #include "sim/sharded_engine.hpp"
@@ -278,15 +279,86 @@ TEST(PerturbEngine, CrashByGlobalTimeFreezesVictimColors) {
   EXPECT_GT(perturb.live_agreement(proto.table()), 0.99);
 }
 
+// The O(1)/O(k) incremental counters (crashed_count, live_agreement)
+// must agree with a from-scratch O(n) rescan after every drain of a
+// sequential crash-stop run — including the first crash, drained at
+// start = 0 before any node has ticked.
+TEST(PerturbEngine, CrashCountersMatchBruteForceRescan) {
+  const std::uint64_t n = 256;
+  const CompleteGraph g(n);
+  Xoshiro256 rng(8);
+  TwoChoicesAsync<CompleteGraph> proto(g, assign_equal(n, 4, rng));
+  Perturber perturb(make_spec(PerturbKind::kCrash, 8.0, 96), n, 4, 81);
+
+  const auto counters_match = [&]() -> ::testing::AssertionResult {
+    std::uint64_t crashed = 0;
+    std::vector<std::uint64_t> live_support(proto.table().num_colors(), 0);
+    for (NodeId u = 0; u < n; ++u) {
+      if (perturb.is_crashed(u)) {
+        ++crashed;
+      } else {
+        ++live_support[proto.table().color(u)];
+      }
+    }
+    const std::uint64_t live = n - crashed;
+    const std::uint64_t best =
+        *std::max_element(live_support.begin(), live_support.end());
+    const double expected =
+        live == 0 ? 1.0
+                  : static_cast<double>(best) / static_cast<double>(live);
+    if (perturb.crashed_count() != crashed) {
+      return ::testing::AssertionFailure()
+             << "crashed_count " << perturb.crashed_count()
+             << " != rescan " << crashed;
+    }
+    if (perturb.live_agreement(proto.table()) != expected) {
+      return ::testing::AssertionFailure()
+             << "live_agreement " << perturb.live_agreement(proto.table())
+             << " != rescan " << expected;
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  ASSERT_TRUE(counters_match());
+  perturb.drain_until(perturb.next_time(), proto.mutable_table());
+  ASSERT_EQ(perturb.crashed_count(), 1u);
+  ASSERT_TRUE(counters_match());
+  // The sequential engine's loop: one uniform node per step at time
+  // steps / n, draining due events first and skipping crashed nodes.
+  for (std::uint64_t step = 1; step <= 20 * n; ++step) {
+    perturb.drain_until(static_cast<double>(step) / static_cast<double>(n),
+                        proto.mutable_table());
+    ASSERT_TRUE(counters_match()) << "after the drain at step " << step;
+    const auto u = static_cast<NodeId>(uniform_below(rng, n));
+    if (perturb.allows_tick(u)) proto.on_tick(u, rng);
+  }
+  EXPECT_TRUE(perturb.exhausted());
+  EXPECT_EQ(perturb.crashed_count(), 96u);
+}
+
+// A protocol whose table is read-only to the outside, like a tick
+// machine with per-node state a re-color would desynchronize.
+class ReadOnlyTableProtocol {
+ public:
+  explicit ReadOnlyTableProtocol(TwoChoicesAsync<CompleteGraph> inner)
+      : inner_(std::move(inner)) {}
+  void on_tick(NodeId u, Xoshiro256& rng) { inner_.on_tick(u, rng); }
+  std::uint64_t num_nodes() const noexcept { return inner_.num_nodes(); }
+  bool done() const noexcept { return inner_.done(); }
+  const OpinionTable& table() const noexcept { return inner_.table(); }
+
+ private:
+  TwoChoicesAsync<CompleteGraph> inner_;
+};
+
 // The perturbation layer refuses protocols it cannot re-color instead
 // of silently doing nothing.
 TEST(PerturbEngine, ProtocolWithoutMutableTableIsLoudlyRejected) {
   const std::uint64_t n = 32;
   const CompleteGraph g(n);
   Xoshiro256 rng(33);
-  CrashAdapter<TwoChoicesAsync<CompleteGraph>> proto(
-      TwoChoicesAsync<CompleteGraph>(g, assign_equal(n, 2, rng)),
-      std::vector<std::uint64_t>(n, kNeverCrashes));
+  ReadOnlyTableProtocol proto(
+      TwoChoicesAsync<CompleteGraph>(g, assign_equal(n, 2, rng)));
   Perturber perturb(make_spec(PerturbKind::kInject, 5.0, 4), n, 2, 55);
   EXPECT_THROW(
       run_sequential(proto, rng, 100.0, NullObserver{}, 1.0, &perturb),

@@ -18,21 +18,27 @@ OUT_DIR=${2:-bench_snapshot}
 mkdir -p "$OUT_DIR"
 
 run() { "$BIN" --out-dir="$OUT_DIR" --csv "$@" > /dev/null; }
+# Entries whose baseline was recorded at jobs_effective 1 run at
+# --jobs=1 here too, so each wall clock compares like with like:
+# left at the default (every core), the parallel sweeps speed up with
+# the host and drag down the suite median that bench_diff --normalize
+# divides by, and the serial records then read as regressions.
+serial() { run --jobs=1 "$@"; }
 
 # Scale keeps this baseline above bench_diff's --min-seconds floor (the
 # censored community/clustered placements burn the full horizon) so the
 # placement sweep is actually gated in CI.
-run --exp=adversarial_placements --reps=3 --n=1024 --horizon=2000
-run --exp=async_main           --reps=2 --k=4 --max_n=8192 --n=4096
-run --exp=bias_threshold       --reps=4 --n=4096
-run --exp=clock_skew           --reps=2 --n=1024
-run --exp=crash_faults         --reps=2 --n=1024
-run --exp=delta_ablation       --reps=2 --n=1024
-run --exp=endgame              --reps=3 --max_n=8192 --n=4096
+serial --exp=adversarial_placements --reps=3 --n=1024 --horizon=2000
+serial --exp=async_main           --reps=2 --k=4 --max_n=8192 --n=4096
+serial --exp=bias_threshold       --reps=4 --n=4096
+serial --exp=clock_skew           --reps=2 --n=1024
+serial --exp=crash_faults         --reps=2 --n=1024
+serial --exp=delta_ablation       --reps=2 --n=1024
+serial --exp=endgame              --reps=3 --max_n=8192 --n=4096
 # Reduced-scale R2: budgets scale with n, so n=1024 sweeps {4, 16, 64}
 # over both arms; the metastable static-boundary cells at budget 64 burn
 # horizon, keeping the record above bench_diff's --min-seconds floor.
-run --exp=late_adversary       --reps=3 --n=1024
+serial --exp=late_adversary       --reps=3 --n=1024
 # Scale keeps this baseline above bench_diff's --min-seconds floor so
 # the latency-model sweep is actually gated in CI. --shards stays pinned
 # so the record's shards/shards_effective params are host-independent
@@ -44,24 +50,24 @@ run --exp=latency_models       --reps=4 --n=4096 --shards=1
 # 2M-tick budget: big enough that the largest point leaves a typical
 # LLC (3 MB of hot state at n=1M) and the section clears the
 # min-seconds floor, small enough for every-PR CI.
-run --exp=microbench_engines   --reps=2 --iters=200000 --n=4096 --m1c_iters=2000000 \
+serial --exp=microbench_engines   --reps=2 --iters=200000 --n=4096 --m1c_iters=2000000 \
     --m1e_min_n=65536 --m1e_max_n=1048576 --m1e_iters=2000000
-run --exp=microbench_rng       --reps=2 --iters=100000
-run --exp=model_equivalence    --reps=3 --n=1024
-run --exp=one_extra_bit        --reps=2 --k=8 --max_k=16 --n=16384
-run --exp=quadratic_growth     --reps=2 --n=4096
+serial --exp=microbench_rng       --reps=2 --iters=100000
+serial --exp=model_equivalence    --reps=3 --n=1024
+serial --exp=one_extra_bit        --reps=2 --k=8 --max_k=16 --n=16384
+serial --exp=quadratic_growth     --reps=2 --n=4096
 # Scale keeps the R1 rate x {sequential, sharded} sweep above
 # bench_diff's --min-seconds floor so the perturbation path is
 # actually gated in CI.
-run --exp=recovery_injection   --reps=4 --n=8192
-run --exp=response_delays      --reps=2 --n=1024
-run --exp=sync_gadget_ablation --reps=2 --max_n=8192
-run --exp=tick_concentration   --reps=2 --max_n=4096 --t=8
-# --jobs and --shards stay pinned so the record's jobs/shards params
-# are host-independent (the sequential engine ignores both).
-run --exp=topologies           --reps=2 --horizon=200 --n=1024 --jobs=1 --shards=1
-run --exp=two_choices_lower_bound --reps=2 --max_k=16 --n=4096
-run --exp=two_choices_scaling  --reps=2 --max_n=4096
+serial --exp=recovery_injection   --reps=4 --n=8192
+serial --exp=response_delays      --reps=2 --n=1024
+serial --exp=sync_gadget_ablation --reps=2 --max_n=8192
+serial --exp=tick_concentration   --reps=2 --max_n=4096 --t=8
+# --shards stays pinned so the record's shards param is
+# host-independent (the sequential engine ignores it).
+serial --exp=topologies           --reps=2 --horizon=200 --n=1024 --shards=1
+serial --exp=two_choices_lower_bound --reps=2 --max_k=16 --n=4096
+serial --exp=two_choices_scaling  --reps=2 --max_n=4096
 
 # Full-composition snapshot: community graph x adversarial placement x
 # heavy-tail latency x sharded engine, through the unified RunPlan
@@ -70,7 +76,7 @@ run --exp=two_choices_scaling  --reps=2 --max_n=4096
 # record of the same experiment above. --shards is pinned for the same
 # host-independence reason as the latency_models entry.
 mkdir -p "$OUT_DIR/sharded_composition"
-"$BIN" --out-dir="$OUT_DIR/sharded_composition" --csv \
+"$BIN" --out-dir="$OUT_DIR/sharded_composition" --csv --jobs=1 \
   --exp=adversarial_placements --reps=3 --n=1024 --horizon=1000 \
   --engine=sharded --shards=2 --placement=adversarial_boundary \
   --latency=pareto --latency-mean=0.5 > /dev/null
