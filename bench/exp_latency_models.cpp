@@ -13,15 +13,13 @@
 // latency shape matters) under zero|const|exp|pareto|aging at the same
 // mean delay. The topology comes from the graph factory (default:
 // complete graph, the historical workload; pass --graph= to compose
-// latency with any family and --placement= with any start). Two
-// engines can drive the cells: the default is the single-stream
-// superposition messaging driver (delayed protocol variants,
-// core/delayed.hpp); --engine=sharded runs the same blocking
-// discipline on the sharded engine's per-shard delivery queues
-// (run_sharded_queued), which is the parallel path. Passing
-// --latency=<model> restricts the sweep to that model; --latency-mean=
-// sets the matched mean (default 1.0) and --latency-shape= overrides
-// the per-family default shape.
+// latency with any family and --placement= with any start). Every cell
+// runs the plain protocol's query/apply split on the sharded engine's
+// per-shard delivery queues (run_sharded_queued, --shards=T shards;
+// one shard is the single-stream latency driver), whatever --engine=
+// asks for. Passing --latency=<model> restricts the sweep to that
+// model; --latency-mean= sets the matched mean (default 1.0) and
+// --latency-shape= overrides the per-family default shape.
 
 #include <memory>
 #include <string>
@@ -29,12 +27,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/delayed.hpp"
 #include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
 #include "graph/csr.hpp"
 #include "opinion/assignment.hpp"
-#include "sim/continuous_engine.hpp"
 #include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
 
@@ -43,32 +39,21 @@ using namespace plurality;
 namespace {
 
 /// The repetition body of one (protocol, model) cell: consensus times
-/// of the blocking discipline, on the engine the plan selects — the
-/// messaging driver (delayed protocol variant) by default, the sharded
-/// engine's delivery queues (plain protocol, query/apply split) under
-/// --engine=sharded. The body shares ownership of `model`: it runs
-/// after the declaring loop iteration has ended.
-template <template <GraphTopology> class ProtoDelayed,
-          template <GraphTopology> class ProtoPlain>
+/// of the blocking discipline on the sharded engine's delivery queues.
+/// The body shares ownership of `model`: it runs after the declaring
+/// loop iteration has ended.
+template <template <GraphTopology> class Proto>
 SweepRunner::Body cell_body(ExperimentContext& ctx,
                             const bench::RunPlan& plan, const AnyGraph& any,
                             const CsrTopology& csr,
                             std::shared_ptr<const LatencyModel> model) {
   return [&ctx, &plan, &any, &csr, model](std::uint64_t, Xoshiro256& rng) {
     const std::uint64_t n = csr.num_nodes();
-    AsyncRunResult result;
-    if (plan.engine == EngineKind::kSharded) {
-      ProtoPlain<CsrTopology> proto(
-          csr, bench::place_on(ctx, any,
-                               counts_two_colors(n, (n * 3) / 4), rng));
-      result = bench::run_queued(plan, proto, *model,
-                                 QueryDiscipline::kBlocking, rng, 1e5);
-    } else {
-      ProtoDelayed<CsrTopology> proto(
-          csr, bench::place_on(ctx, any,
-                               counts_two_colors(n, (n * 3) / 4), rng));
-      result = bench::run(plan, proto, *model, rng, 1e5);
-    }
+    Proto<CsrTopology> proto(
+        csr, bench::place_on(ctx, any, counts_two_colors(n, (n * 3) / 4),
+                             rng));
+    const AsyncRunResult result = bench::run_queued(
+        plan, proto, *model, QueryDiscipline::kBlocking, rng, 1e5);
     return std::vector<double>{result.time, result.consensus ? 1.0 : 0.0};
   };
 }
@@ -79,8 +64,7 @@ int run_exp(ExperimentContext& ctx) {
                 "(non-decreasing hazard) keep plurality consensus fast "
                 "while heavy tails slow the endgame: "
                 "aging <~ exp < pareto");
-  const bench::RunPlan plan =
-      bench::make_plan(ctx, EngineKind::kSuperposition);
+  const bench::RunPlan plan = bench::make_plan(ctx, EngineKind::kSharded);
 
   const std::uint64_t n = ctx.args.get_u64("n", 1ull << 12);
   Xoshiro256 build_rng(ctx.master_seed);
@@ -144,11 +128,9 @@ int run_exp(ExperimentContext& ctx) {
       SweepRunner::Body body;
     } cells[] = {
         {"two_choices",
-         cell_body<TwoChoicesAsyncDelayed, TwoChoicesAsync>(ctx, plan, any,
-                                                            csr, model)},
+         cell_body<TwoChoicesAsync>(ctx, plan, any, csr, model)},
         {"three_majority",
-         cell_body<ThreeMajorityAsyncDelayed, ThreeMajorityAsync>(
-             ctx, plan, any, csr, model)},
+         cell_body<ThreeMajorityAsync>(ctx, plan, any, csr, model)},
     };
     for (const auto& cell : cells) {
       runner.add_point(
@@ -218,17 +200,17 @@ const ExperimentRegistrar kRegistrar{
     "edge-latency models zero|const|exp|pareto|aging at matched mean "
     "delay. The topology comes from the graph factory (default "
     "complete; --graph= composes latency with any family, --placement= "
-    "with any start). The default engine is the single-stream "
-    "superposition messaging driver; --engine=sharded runs the same "
-    "blocking discipline on the sharded engine's per-shard delivery "
-    "queues (--shards=T shards). Records `time_vs_model` (consensus "
-    "time and success rate per protocol x model). Overrides: --n=, "
-    "--latency= "
-    "(restrict to one model), --latency-mean= (matched mean, default "
-    "1.0), --latency-shape= (per-family default: pareto 2.5, aging "
-    "4.0), --engine=, --shards=, --graph= and the --graph-* knobs, "
-    "--placement=. The headline check is the positive-aging ordering "
-    "aging <= exp <= pareto in the two_choices means.",
+    "with any start). Every cell runs on the sharded engine's "
+    "per-shard delivery queues (--shards=T shards; --shards=1 is the "
+    "single-stream latency driver) whatever --engine= requests, and "
+    "the record says engine_effective=sharded. Records `time_vs_model` "
+    "(consensus time and success rate per protocol x model). "
+    "Overrides: --n=, --latency= (restrict to one model), "
+    "--latency-mean= (matched mean, default 1.0), --latency-shape= "
+    "(per-family default: pareto 2.5, aging 4.0), --shards=, --graph= "
+    "and the --graph-* knobs, --placement=. The headline check is the "
+    "positive-aging ordering aging <= exp <= pareto in the two_choices "
+    "means.",
     /*default_reps=*/5, run_exp};
 
 }  // namespace

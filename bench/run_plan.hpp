@@ -20,15 +20,16 @@
 ///     the only driver for this composition, so the run is attributed
 ///     engine_effective=sharded whatever engine was requested, and
 ///     shards_effective names the count that actually keyed the
-///     trajectories. This is what makes graph × placement ×
-///     random-latency compositions run in parallel instead of being
-///     exiled to single-threaded drivers;
+///     trajectories. At --shards=1 it is the single-stream latency
+///     driver, which is how Two-Choices and 3-Majority run under
+///     latency (L1 calls run_queued directly for every model);
 ///   - non-zero latency + a protocol without the query/apply split:
 ///     the latency is *ignored with a once-per-process warning* and no
 ///     latency_effective is attributed — the record stays truthful;
-///   - messaging protocols (core/delayed.hpp) take the explicit-model
-///     overload and always ride the superposition messaging driver,
-///     the only single-stream engine with a delivery queue.
+///   - the one messaging protocol, AsyncOneExtraBitDelayed
+///     (core/delayed.hpp, a stateful tick machine with no query/apply
+///     form), takes the LatencyModel overload and always rides the
+///     superposition messaging driver.
 
 #include <atomic>
 #include <cstdint>
@@ -237,10 +238,10 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
                           perturb, plan.tuning);
 }
 
-/// The run dispatch for *messaging* protocols (core/delayed.hpp) under
-/// an explicit latency model. Messaging protocols always ride the
-/// superposition-based delivery driver (the only single-stream engine
-/// with a message queue); any other engine request falls back to it
+/// The run dispatch for *messaging* protocols (AsyncOneExtraBitDelayed)
+/// under an explicit latency model. Messaging protocols always ride the
+/// superposition-based delivery driver (the only engine that runs a
+/// MessagingProtocol); any other engine request falls back to it
 /// with a once-per-process warning, and the record's
 /// params.engine_effective says "superposition" so the JSON stays
 /// truthful. The latency draws come from `rng` via the driver (see

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file delayed.hpp
-/// Delayed-response protocol variants: the response-delay extension of
-/// the source paper (§4) generalized to arbitrary edge-latency models
-/// (sim/latency.hpp, after Bankhamer et al.).
+/// The delayed-response OneExtraBit protocol: the response-delay
+/// extension of the source paper (§4) generalized to arbitrary
+/// edge-latency models (sim/latency.hpp, after Bankhamer et al.).
 ///
 /// Model implemented here: contacting a peer is instantaneous and the
 /// peer answers immediately, but the answer travels back for a random
@@ -14,136 +14,30 @@
 /// detected via a phase tag) are dropped — exactly the kind of
 /// straggler the paper's tactical waiting blocks absorb.
 ///
-/// None of these protocols samples a delay itself: every message is
-/// posted via the delay-less Outbox::post, and the messaging driver
-/// draws the latency from its model at enqueue time (the RNG-ownership
-/// invariant in continuous_engine.hpp). Run them with
-/// run_continuous_messaging(proto, latency_model, ...). Under
-/// ZeroLatency they reproduce the instant-response protocols'
-/// consensus-time distribution (enforced by
-/// tests/test_model_equivalence.cpp); experiment E10 shows constant
-/// mean delays leave the Theta(log n) run time intact, and experiment
-/// L1 compares the latency families head to head.
+/// The protocol never samples a delay itself: the messaging driver
+/// draws each message's latency from its model at enqueue time (the
+/// RNG-ownership invariant in continuous_engine.hpp). Run it with
+/// run_continuous_messaging(proto, latency_model, ...); experiment E10
+/// shows constant mean delays leave the Theta(log n) run time intact.
+/// Being a stateful tick machine, it has no query()/apply_query() split
+/// for the sharded delivery queues, where Two-Choices and 3-Majority
+/// run under latency.
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
 #include "core/sync_gadget.hpp"
-#include "core/three_majority.hpp"
 #include "graph/graph.hpp"
 #include "opinion/assignment.hpp"
 #include "opinion/table.hpp"
-#include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/continuous_engine.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
-
-// QueryDiscipline (kBlocking | kFireAndForget) lives in sim/latency.hpp
-// now: the sharded engine's delivery-queue driver implements the same
-// disciplines, and sim/ must not depend on core/.
-
-/// Asynchronous Two-Choices with delayed responses; the smallest
-/// protocol exercising the messaging driver end to end. On each
-/// (non-suppressed) tick the node samples two neighbors — read at
-/// query time — and the matched pair travels back under the driver's
-/// latency model; the update applies on delivery.
-template <GraphTopology G>
-class TwoChoicesAsyncDelayed {
- public:
-  struct Message {
-    ColorId first;
-    ColorId second;
-  };
-
-  TwoChoicesAsyncDelayed(const G& graph, Assignment assignment,
-                         QueryDiscipline discipline =
-                             QueryDiscipline::kBlocking)
-      : graph_(&graph),
-        table_(std::move(assignment.colors), assignment.num_colors),
-        discipline_(discipline) {
-    PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
-    pending_.assign(table_.num_nodes(), 0);
-  }
-
-  void on_tick(NodeId u, Xoshiro256& rng, double /*now*/,
-               Outbox<Message>& out) {
-    if (discipline_ == QueryDiscipline::kBlocking && pending_[u]) return;
-    const NodeId v = graph_->sample_neighbor(u, rng);
-    const NodeId w = graph_->sample_neighbor(u, rng);
-    pending_[u] = 1;
-    out.post(u, Message{table_.color(v), table_.color(w)});
-  }
-
-  void on_message(NodeId u, const Message& m, Xoshiro256& /*rng*/,
-                  double /*now*/, Outbox<Message>& /*out*/) {
-    pending_[u] = 0;
-    if (m.first == m.second) table_.set_color(u, m.first);
-  }
-
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-  bool done() const noexcept { return table_.has_consensus(); }
-  const OpinionTable& table() const noexcept { return table_; }
-
- private:
-  const G* graph_;
-  OpinionTable table_;
-  QueryDiscipline discipline_;
-  std::vector<std::uint8_t> pending_;
-};
-
-/// Asynchronous 3-Majority with delayed responses: the tick samples
-/// three neighbors at query time; the majority rule is applied when
-/// the answer arrives. Same query disciplines as
-/// TwoChoicesAsyncDelayed. The second baseline of experiment L1.
-template <GraphTopology G>
-class ThreeMajorityAsyncDelayed {
- public:
-  struct Message {
-    ColorId a;
-    ColorId b;
-    ColorId c;
-  };
-
-  ThreeMajorityAsyncDelayed(const G& graph, Assignment assignment,
-                            QueryDiscipline discipline =
-                                QueryDiscipline::kBlocking)
-      : graph_(&graph),
-        table_(std::move(assignment.colors), assignment.num_colors),
-        discipline_(discipline) {
-    PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
-    pending_.assign(table_.num_nodes(), 0);
-  }
-
-  void on_tick(NodeId u, Xoshiro256& rng, double /*now*/,
-               Outbox<Message>& out) {
-    if (discipline_ == QueryDiscipline::kBlocking && pending_[u]) return;
-    const ColorId a = table_.color(graph_->sample_neighbor(u, rng));
-    const ColorId b = table_.color(graph_->sample_neighbor(u, rng));
-    const ColorId c = table_.color(graph_->sample_neighbor(u, rng));
-    pending_[u] = 1;
-    out.post(u, Message{a, b, c});
-  }
-
-  void on_message(NodeId u, const Message& m, Xoshiro256& /*rng*/,
-                  double /*now*/, Outbox<Message>& /*out*/) {
-    pending_[u] = 0;
-    table_.set_color(u, detail::majority_of_three(m.a, m.b, m.c));
-  }
-
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-  bool done() const noexcept { return table_.has_consensus(); }
-  const OpinionTable& table() const noexcept { return table_; }
-
- private:
-  const G* graph_;
-  OpinionTable table_;
-  QueryDiscipline discipline_;
-  std::vector<std::uint8_t> pending_;
-};
 
 /// The full asynchronous OneExtraBit protocol under delayed responses.
 /// Identical working-time program to AsyncOneExtraBit; the sample steps

@@ -91,9 +91,8 @@ class ThreeMajorityAsync {
 
   /// Delayed form of the tick, split at the query/response boundary for
   /// the sharded engine's delivery queues (run_sharded_queued): the
-  /// three neighbor colors are read at query time (matching the
-  /// ThreeMajorityAsyncDelayed message semantics), the majority rule is
-  /// resolved at delivery.
+  /// three neighbor colors are read at query time (the answer travels
+  /// back carrying them), the majority rule is resolved at delivery.
   struct Query {
     ColorId a;
     ColorId b;

@@ -82,10 +82,9 @@ class TwoChoicesAsync {
 
   /// Delayed form of the tick, split at the query/response boundary for
   /// the sharded engine's delivery queues (run_sharded_queued): the two
-  /// neighbor colors are read at query time (matching the
-  /// TwoChoicesAsyncDelayed message semantics), and the
-  /// adopt-on-coincidence rule is resolved against the node's *current*
-  /// color when the answer is delivered.
+  /// neighbor colors are read at query time (the answer travels back
+  /// carrying them), and the adopt-on-coincidence rule is resolved
+  /// against the node's *current* color when the answer is delivered.
   struct Query {
     ColorId first;
     ColorId second;

@@ -45,11 +45,29 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Args::find(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return nullptr;
+  const std::lock_guard<std::mutex> lock(read_->mutex);
+  read_->keys.insert(key);
+  return &it->second;
+}
+
+void Args::warn_unread(std::ostream& os) const {
+  const std::lock_guard<std::mutex> lock(read_->mutex);
+  for (const auto& entry : values_) {
+    if (read_->keys.count(entry.first) == 0) {
+      os << "warning: --" << entry.first
+         << " was not read by any experiment\n";
+    }
+  }
+}
+
 std::uint64_t Args::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return fallback;
+  const std::string& value = *found;
   // strtoull silently wraps negative input and parses "" / "12x" as 0 /
   // 12; validate with endptr so typos fail loudly instead of becoming
   // surprising parameter values. Requiring a leading digit also blocks
@@ -67,9 +85,9 @@ std::uint64_t Args::get_u64(const std::string& key,
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return fallback;
+  const std::string& value = *found;
   if (value.empty() ||
       std::isspace(static_cast<unsigned char>(value[0]))) {
     bad_value(key, value, "a number");
@@ -92,12 +110,12 @@ double Args::get_double(const std::string& key, double fallback) const {
 
 std::string Args::get_string(const std::string& key,
                              const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* found = find(key);
+  return found == nullptr ? fallback : *found;
 }
 
 bool Args::has_flag(const std::string& key) const {
-  return values_.count(key) > 0;
+  return find(key) != nullptr;
 }
 
 }  // namespace plurality

@@ -8,6 +8,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <ostream>
+#include <set>
 #include <string>
 
 namespace plurality {
@@ -19,6 +23,10 @@ class Args {
   /// ContractViolation (catching typos in reproduce commands).
   Args(int argc, const char* const* argv);
 
+  /// Every getter (has_flag and csv included) marks its key as read, in
+  /// a mutex-guarded set shared by all copies: reads through an
+  /// ExperimentContext's copy, on executor workers too, count here.
+  ///
   /// Numeric getters return `fallback` when the key is absent and throw
   /// ContractViolation (naming the flag and the offending text) when the
   /// value is present but malformed — "--reps=abc" must never silently
@@ -38,8 +46,20 @@ class Args {
     return values_;
   }
 
+  /// Prints one `warning: --<key> was not read by any experiment` line
+  /// per passed key no getter has read (raw() does not count), so a
+  /// typo such as --rep=5 cannot silently run the defaults.
+  void warn_unread(std::ostream& os) const;
+
  private:
+  const std::string* find(const std::string& key) const;  // marks read
+
+  struct ReadSet {
+    std::mutex mutex;
+    std::set<std::string> keys;
+  };
   std::map<std::string, std::string> values_;
+  std::shared_ptr<ReadSet> read_ = std::make_shared<ReadSet>();
 };
 
 }  // namespace plurality

@@ -13,8 +13,9 @@
 ///
 /// - run_continuous_heap: the literal n-timer event-queue simulation
 ///   (each node keeps its own next-tick time in a priority queue).
-///   O(log n) per tick plus the O(n) queue build; kept as the reference
-///   implementation the superposition engine is validated against.
+///   O(log n) per tick plus the O(n) queue build; the reference the
+///   superposition engine is validated against, and the engine for
+///   per-node clock rates.
 ///
 /// Both are exact samplers of the same process, but they consume the
 /// RNG stream differently: a fixed seed gives *statistically identical*
@@ -24,9 +25,9 @@
 /// The engine also supports protocols that exchange *delayed messages*
 /// (the response-delay extension of §4 and the edge-latency models of
 /// Bankhamer et al., see sim/latency.hpp): a messaging protocol stages
-/// (recipient, message) pairs — optionally with an explicit delay — in
-/// an Outbox; the engine keeps a queue only for pending deliveries and
-/// races its head against the superposition-generated tick stream.
+/// (recipient, message) pairs in an Outbox; the engine keeps a queue
+/// only for pending deliveries and races its head against the
+/// superposition-generated tick stream.
 ///
 /// Invariants of the messaging driver:
 ///   - Delivery ordering: events are processed in nondecreasing time;
@@ -36,16 +37,16 @@
 ///     ZeroLatency this makes an answer land before any later tick, so
 ///     the zero-latency messaging run is the instant-response process).
 ///     Deliveries among themselves keep (time, post order).
-///   - Latency-draw RNG ownership: when the driver is constructed with
-///     a LatencyModel, *the driver* draws one latency per message from
-///     its own RNG stream at enqueue time (the moment the outbox is
-///     drained). Protocols never sample delays themselves, so the same
-///     protocol code runs unchanged under every latency model and a
-///     fixed (seed, model) pair is deterministic.
+///   - Latency-draw RNG ownership: *the driver* draws one latency per
+///     message from its LatencyModel and its own RNG stream at enqueue
+///     time (the moment the outbox is drained). Protocols never sample
+///     delays themselves, so the same protocol code runs unchanged
+///     under every latency model and a fixed (seed, model) pair is
+///     deterministic.
 
 #include <cstddef>
 #include <cstdint>
-#include <tuple>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,21 +67,10 @@ namespace plurality {
 template <typename Message>
 class Outbox {
  public:
-  /// Schedules `message` for delivery to `to` after `delay` time units.
-  /// Requires delay >= 0. Prefer the delay-less overload: it lets the
-  /// driver's LatencyModel own the draw so the protocol is reusable
-  /// under every latency family.
-  void post(NodeId to, double delay, Message message) {
-    PC_EXPECTS(delay >= 0.0);
-    staged_.emplace_back(to, delay, std::move(message));
-  }
-
   /// Schedules `message` for delivery to `to` after a latency the
   /// *driver* draws from its LatencyModel when the outbox is drained.
-  /// Running such a protocol requires a driver constructed with a
-  /// model (run_continuous_messaging's LatencyModel overload).
   void post(NodeId to, Message message) {
-    staged_.emplace_back(to, kDrawFromModel, std::move(message));
+    staged_.emplace_back(to, std::move(message));
   }
 
   bool empty() const noexcept { return staged_.empty(); }
@@ -89,10 +79,7 @@ class Outbox {
   template <typename, typename>
   friend class ContinuousMessagingDriver;  // engine drains staged_
 
-  /// Sentinel delay marking "draw from the driver's latency model".
-  static constexpr double kDrawFromModel = -1.0;
-
-  std::vector<std::tuple<NodeId, double, Message>> staged_;
+  std::vector<std::pair<NodeId, Message>> staged_;
 };
 
 /// A protocol that, in addition to ticking, receives delayed messages.
@@ -247,20 +234,30 @@ AsyncRunResult run_continuous_batch(P& proto, Xoshiro256& rng,
 /// event queue. Same process as run_continuous, O(log n) per tick.
 /// Perturbations integrate exactly as in run_continuous: drained in
 /// event-time order against the tick queue's head.
+/// Non-empty `rates` (size n, all > 0) make node u tick at rates[u]
+/// (§4's "much more general setting"); empty means rate 1. Each wait is
+/// exponential_unit / rate and x / 1.0 == x, so all-ones rates give the
+/// same trajectory as none.
 template <AsyncProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_continuous_heap(P& proto, Xoshiro256& rng, double max_time,
                                    Obs&& obs = Obs{},
                                    double sample_every = 1.0,
-                                   Perturber* perturb = nullptr) {
+                                   Perturber* perturb = nullptr,
+                                   std::span<const double> rates = {}) {
   PC_EXPECTS(max_time > 0.0);
   PC_EXPECTS(sample_every > 0.0);
   const std::uint64_t n = proto.num_nodes();
   PC_EXPECTS(n >= 1);
+  PC_EXPECTS(rates.empty() || rates.size() == n);
+  for (const double r : rates) PC_EXPECTS(r > 0.0);
+  const auto wait = [&](NodeId u) {
+    return exponential_unit(rng) / (rates.empty() ? 1.0 : rates[u]);
+  };
 
   EventQueue<NodeId> ticks;
   ticks.reserve(n + 1);
   for (std::uint64_t u = 0; u < n; ++u) {
-    ticks.push(exponential_unit(rng), static_cast<NodeId>(u));
+    ticks.push(wait(static_cast<NodeId>(u)), static_cast<NodeId>(u));
   }
 
   AsyncRunResult result;
@@ -282,7 +279,7 @@ AsyncRunResult run_continuous_heap(P& proto, Xoshiro256& rng, double max_time,
       proto.on_tick(event.payload, rng);
     }
     ++result.ticks;
-    ticks.push(now + exponential_unit(rng), event.payload);
+    ticks.push(now + wait(event.payload), event.payload);
   }
   result.time = proto.done() ? now : max_time;
   obs(result.time, proto);
@@ -300,17 +297,14 @@ AsyncRunResult run_continuous_heap(P& proto, Xoshiro256& rng, double max_time,
 /// processed first (ties between the two streams have probability zero;
 /// deliveries among themselves keep their (time, post order) sequence).
 ///
-/// When constructed with a LatencyModel the driver draws one latency
-/// per model-posted message (Outbox::post without a delay) from `rng`
-/// at drain time; see the file header for the ownership invariant.
-/// Posting without a delay on a driver that has no model is a contract
-/// violation.
+/// The driver draws one latency per posted message from `rng` at drain
+/// time; see the file header for the ownership invariant.
 template <typename P, typename Obs>
 class ContinuousMessagingDriver {
  public:
-  ContinuousMessagingDriver(P& proto, Xoshiro256& rng, Obs obs,
-                            const LatencyModel* latency = nullptr)
-      : proto_(proto), rng_(rng), obs_(std::move(obs)), latency_(latency) {}
+  ContinuousMessagingDriver(P& proto, const LatencyModel& latency,
+                            Xoshiro256& rng, Obs obs)
+      : proto_(proto), latency_(latency), rng_(rng), obs_(std::move(obs)) {}
 
   AsyncRunResult run(double max_time, double sample_every = 1.0) {
     PC_EXPECTS(max_time > 0.0);
@@ -352,13 +346,9 @@ class ContinuousMessagingDriver {
         ++result.ticks;
         next_tick = now + exponential_unit(rng_) * inv_n;
       }
-      for (auto& [to, delay, message] : outbox.staged_) {
-        double resolved = delay;
-        if (resolved == Outbox<Message>::kDrawFromModel) {
-          PC_EXPECTS(latency_ != nullptr);
-          resolved = latency_->sample(rng_);
-        }
-        deliveries.push(now + resolved, Delivery{to, std::move(message)});
+      for (auto& [to, message] : outbox.staged_) {
+        deliveries.push(now + latency_.sample(rng_),
+                        Delivery{to, std::move(message)});
       }
       outbox.staged_.clear();
     }
@@ -371,24 +361,13 @@ class ContinuousMessagingDriver {
 
  private:
   P& proto_;
+  const LatencyModel& latency_;
   Xoshiro256& rng_;
   Obs obs_;
-  const LatencyModel* latency_;
 };
 
-/// Convenience wrapper for messaging protocols whose posts carry
-/// explicit delays.
-template <MessagingProtocol P, typename Obs = NullObserver>
-AsyncRunResult run_continuous_messaging(P& proto, Xoshiro256& rng,
-                                        double max_time, Obs&& obs = Obs{},
-                                        double sample_every = 1.0) {
-  ContinuousMessagingDriver<P, std::decay_t<Obs>> driver(
-      proto, rng, std::forward<Obs>(obs));
-  return driver.run(max_time, sample_every);
-}
-
 /// Runs a messaging protocol under the given edge-latency model: the
-/// driver stamps every model-posted message with a latency drawn from
+/// driver stamps every posted message with a latency drawn from
 /// `latency` (see sim/latency.hpp). The model must outlive the call.
 template <MessagingProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_continuous_messaging(P& proto, const LatencyModel& latency,
@@ -396,7 +375,7 @@ AsyncRunResult run_continuous_messaging(P& proto, const LatencyModel& latency,
                                         Obs&& obs = Obs{},
                                         double sample_every = 1.0) {
   ContinuousMessagingDriver<P, std::decay_t<Obs>> driver(
-      proto, rng, std::forward<Obs>(obs), &latency);
+      proto, latency, rng, std::forward<Obs>(obs));
   return driver.run(max_time, sample_every);
 }
 

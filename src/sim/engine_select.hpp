@@ -17,15 +17,16 @@
 /// Edge latencies interact with engine selection as follows
 /// (`--latency=` selects a model from sim/latency.hpp):
 ///   - zero latency leaves every engine untouched;
-///   - a messaging (delayed-response) protocol always runs on the
-///     superposition-based messaging driver — the only *single-stream*
-///     engine with a delivery queue — so heap/sequential requests fall
-///     back to it (the bench harness warns once);
-///   - a *delayed-shardable* protocol (query/apply_query split) runs
-///     any sampleable model, constant latency included, on the sharded
-///     engine's per-shard delivery queues (run_sharded_queued in
-///     sharded_engine.hpp) — the parallel latency path, dispatched by
-///     the bench layer's RunPlan.
+///   - a *delayed-shardable* protocol (query/apply_query split, e.g.
+///     Two-Choices and 3-Majority) runs any sampleable model, constant
+///     latency included, on the sharded engine's per-shard delivery
+///     queues (run_sharded_queued in sharded_engine.hpp), dispatched
+///     by the bench layer's RunPlan; one shard is the single-stream
+///     latency driver;
+///   - the messaging protocol AsyncOneExtraBitDelayed, which has no
+///     query/apply split, runs on the superposition-based messaging
+///     driver, so other engine requests fall back to it (the bench
+///     harness warns once).
 
 #include <cstdint>
 #include <string>

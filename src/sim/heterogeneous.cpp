@@ -3,6 +3,9 @@
 #include <cmath>
 #include <vector>
 
+#include "rng/distributions.hpp"
+#include "support/assert.hpp"
+
 namespace plurality::clock_rates {
 
 std::vector<double> uniform(std::uint64_t n) {

@@ -4,65 +4,18 @@
 /// Heterogeneous Poisson clocks. The paper's §4 notes: "We showed our
 /// main result assuming independent Poisson clocks with parameter 1.
 /// However, our techniques should carry over to a much more general
-/// setting as well." This driver runs any AsyncProtocol under per-node
-/// clock rates lambda_u, so the clock-skew experiment (B1) can probe
-/// how much rate heterogeneity the protocol really tolerates.
+/// setting as well." The heap engine (run_continuous_heap's `rates`
+/// span) runs any AsyncProtocol under per-node clock rates lambda_u;
+/// this file holds the rate profiles the clock-skew experiment (B1)
+/// feeds it to probe how much rate heterogeneity the protocol really
+/// tolerates.
 
 #include <cstdint>
-#include <span>
-#include <utility>
+#include <vector>
 
-#include "rng/distributions.hpp"
-#include "sim/concepts.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/observers.hpp"
-#include "sim/result.hpp"
-#include "support/assert.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace plurality {
-
-/// Runs `proto` with node u ticking at rate `rates[u]` until done() or
-/// `max_time`. Requires rates.size() == proto.num_nodes() and every
-/// rate > 0.
-template <AsyncProtocol P, typename Obs = NullObserver>
-AsyncRunResult run_continuous_heterogeneous(P& proto, Xoshiro256& rng,
-                                            std::span<const double> rates,
-                                            double max_time,
-                                            Obs&& obs = Obs{},
-                                            double sample_every = 1.0) {
-  PC_EXPECTS(max_time > 0.0);
-  PC_EXPECTS(sample_every > 0.0);
-  const std::uint64_t n = proto.num_nodes();
-  PC_EXPECTS(rates.size() == n);
-  for (const double r : rates) PC_EXPECTS(r > 0.0);
-
-  EventQueue<NodeId> ticks;
-  for (std::uint64_t u = 0; u < n; ++u) {
-    ticks.push(exponential(rng, rates[u]), static_cast<NodeId>(u));
-  }
-
-  AsyncRunResult result;
-  double now = 0.0;
-  double next_sample = 0.0;
-  while (!ticks.empty() && !proto.done()) {
-    if (ticks.next_time() > max_time) break;
-    const auto event = ticks.pop();
-    now = event.time;
-    while (next_sample <= now) {
-      obs(next_sample, proto);
-      next_sample += sample_every;
-    }
-    proto.on_tick(event.payload, rng);
-    ++result.ticks;
-    ticks.push(now + exponential(rng, rates[event.payload]),
-               event.payload);
-  }
-  result.time = now;
-  obs(now, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
-}
 
 /// Convenience rate profiles for the clock-skew experiment.
 namespace clock_rates {

@@ -58,10 +58,8 @@ namespace plurality {
 /// kFireAndForget posts a fresh query on every tick regardless of
 /// outstanding answers — the §4-style semantics.
 ///
-/// Lives here (not in core/delayed.hpp) because both the delayed
-/// protocol variants and the sharded engine's delivery-queue driver
-/// (run_sharded_queued) implement it, and sim/ must not depend on
-/// core/.
+/// Lives here because the sharded engine's delivery-queue driver
+/// (run_sharded_queued) implements it.
 enum class QueryDiscipline : std::uint8_t { kBlocking, kFireAndForget };
 
 /// The registered latency families, as selected by `--latency=`.

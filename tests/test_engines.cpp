@@ -6,17 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
+#include "sim/latency.hpp"
 #include "sim/observers.hpp"
 #include "sim/sequential_engine.hpp"
 #include "sim/sync_driver.hpp"
+#include "query_messaging.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -54,7 +57,8 @@ class TickCounter {
 static_assert(AsyncProtocol<TickCounter>);
 static_assert(AsyncProtocol<TwoChoicesAsync<CompleteGraph>>);
 static_assert(SyncProtocol<TwoChoicesSync<CompleteGraph>>);
-static_assert(MessagingProtocol<TwoChoicesAsyncDelayed<CompleteGraph>>);
+static_assert(
+    MessagingProtocol<QueryMessaging<TwoChoicesAsync<CompleteGraph>>>);
 
 TEST(SequentialEngine, ExecutesExactlyMaxTimeTimesN) {
   TickCounter proto(64);
@@ -229,9 +233,27 @@ TEST(HeapEngine, StopsOnConsensus) {
   EXPECT_LT(result.time, 1e6);
 }
 
-/// Messaging protocol that posts a fixed fan of delayed messages on the
-/// very first tick and records the order deliveries come back in; pins
-/// down the engine's (delivery time, post order) sequencing exactly.
+/// Latency model that returns a fixed script of delays in draw order
+/// (the driver draws one per posted message, in post order).
+class ScriptedLatency final : public LatencyModel {
+ public:
+  explicit ScriptedLatency(std::vector<double> delays)
+      : delays_(std::move(delays)) {}
+  double sample(Xoshiro256&) const override { return delays_.at(next_++); }
+  double mean() const noexcept override { return 0.0; }
+  LatencyKind kind() const noexcept override {
+    return LatencyKind::kConstant;
+  }
+
+ private:
+  std::vector<double> delays_;
+  mutable std::size_t next_ = 0;
+};
+
+/// Messaging protocol that posts a fixed fan of messages on the very
+/// first tick and records the order deliveries come back in; under
+/// ScriptedLatency it pins down the engine's (delivery time, post
+/// order) sequencing exactly.
 class MessageOrderRecorder {
  public:
   using Message = int;
@@ -243,10 +265,7 @@ class MessageOrderRecorder {
     if (posted_) return;
     posted_ = true;
     post_time_ = now;
-    out.post(1, 5.0, 0);
-    out.post(1, 1.0, 1);
-    out.post(1, 1.0, 2);  // exact tie with message 1: post order decides
-    out.post(1, 3.0, 3);
+    for (int id = 0; id < 4; ++id) out.post(1, id);
   }
 
   void on_message(NodeId, const int& m, Xoshiro256&, double now,
@@ -283,7 +302,9 @@ static_assert(MessagingProtocol<MessageOrderRecorder>);
 TEST(MessagingEngine, DeliveriesArriveInTimeThenPostOrder) {
   MessageOrderRecorder proto(8);
   Xoshiro256 rng(21);
-  const auto result = run_continuous_messaging(proto, rng, 1e4);
+  // Message 2 ties exactly with message 1: post order decides.
+  const ScriptedLatency delays({5.0, 1.0, 1.0, 3.0});
+  const auto result = run_continuous_messaging(proto, delays, rng, 1e4);
   ASSERT_EQ(proto.received().size(), 4u);
   // Delays 5, 1, 1, 3 posted in ids 0..3: arrival must be 1, 2 (tie in
   // post order), 3, 0.
@@ -301,7 +322,8 @@ TEST(MessagingEngine, HorizonCutoffReportsMaxTime) {
   MessageOrderRecorder proto(8);
   Xoshiro256 rng(22);
   // Horizon shorter than the longest delay: the run is cut off.
-  const auto result = run_continuous_messaging(proto, rng, 2.0);
+  const ScriptedLatency delays({5.0, 1.0, 1.0, 3.0});
+  const auto result = run_continuous_messaging(proto, delays, rng, 2.0);
   EXPECT_DOUBLE_EQ(result.time, 2.0);
   EXPECT_LT(proto.received().size(), 4u);
 }
@@ -310,8 +332,10 @@ TEST(MessagingEngine, DelayedTwoChoicesReachesConsensus) {
   const CompleteGraph g(128);
   Xoshiro256 rng(10);
   const ExponentialLatency latency(0.25);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(128, 112, rng));
-  const auto result = run_continuous_messaging(proto, latency, rng, 1e5);
+  TwoChoicesAsync proto(g, assign_two_colors(128, 112, rng));
+  QueryMessaging messaging(proto);
+  const auto result =
+      run_continuous_messaging(messaging, latency, rng, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
@@ -322,8 +346,10 @@ TEST(MessagingEngine, HugeDelaysStallProgress) {
   // Mean delay 1000 time units >> horizon: almost no answer arrives, so
   // almost no node ever flips.
   const ExponentialLatency latency(1000.0);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(64, 40, rng));
-  const auto result = run_continuous_messaging(proto, latency, rng, 5.0);
+  TwoChoicesAsync proto(g, assign_two_colors(64, 40, rng));
+  QueryMessaging messaging(proto);
+  const auto result =
+      run_continuous_messaging(messaging, latency, rng, 5.0);
   EXPECT_FALSE(result.consensus);
   EXPECT_GE(proto.table().support(1), 15u);  // minority barely dented
 }

@@ -1,15 +1,19 @@
-// Tests for heterogeneous Poisson clocks (§4's "more general setting").
+// Tests for heterogeneous Poisson clocks (§4's "more general setting"):
+// the heap engine's per-node `rates` span and the clock_rates profiles.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "core/async_one_extra_bit.hpp"
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
+#include "sim/continuous_engine.hpp"
 #include "sim/heterogeneous.hpp"
+#include "sim/observers.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -36,13 +40,21 @@ class TickCounter {
   std::vector<std::uint64_t> per_node_;
 };
 
+template <typename P>
+AsyncRunResult run_heap_with_rates(P& proto, Xoshiro256& rng,
+                                   std::span<const double> rates,
+                                   double max_time) {
+  return run_continuous_heap(proto, rng, max_time, NullObserver{}, 1.0,
+                             nullptr, rates);
+}
+
 TEST(Heterogeneous, FastNodesTickProportionallyMore) {
   const std::uint64_t n = 64;
   TickCounter proto(n);
   std::vector<double> rates(n, 1.0);
   for (NodeId u = 0; u < n / 2; ++u) rates[u] = 3.0;  // first half 3x
   Xoshiro256 rng(1);
-  run_continuous_heterogeneous(proto, rng, rates, 200.0);
+  run_heap_with_rates(proto, rng, rates, 200.0);
   double fast = 0.0;
   double slow = 0.0;
   for (NodeId u = 0; u < n; ++u) {
@@ -57,7 +69,7 @@ TEST(Heterogeneous, UniformRatesMatchBaseModel) {
   const auto rates = clock_rates::uniform(n);
   Xoshiro256 rng(2);
   const auto result =
-      run_continuous_heterogeneous(proto, rng, rates, 50.0);
+      run_heap_with_rates(proto, rng, rates, 50.0);
   EXPECT_NEAR(static_cast<double>(result.ticks), 50.0 * n,
               6.0 * std::sqrt(50.0 * n));
 }
@@ -67,11 +79,44 @@ TEST(Heterogeneous, RejectsBadRates) {
   Xoshiro256 rng(3);
   const std::vector<double> wrong_size{1.0, 1.0};
   EXPECT_THROW(
-      run_continuous_heterogeneous(proto, rng, wrong_size, 1.0),
+      run_heap_with_rates(proto, rng, wrong_size, 1.0),
       ContractViolation);
   const std::vector<double> zero_rate{1.0, 0.0, 1.0, 1.0};
-  EXPECT_THROW(run_continuous_heterogeneous(proto, rng, zero_rate, 1.0),
+  EXPECT_THROW(run_heap_with_rates(proto, rng, zero_rate, 1.0),
                ContractViolation);
+}
+
+TEST(Heterogeneous, AllOnesRatesAreBitIdenticalToNoRates) {
+  // Each wait is exponential_unit / rate and x / 1.0 == x, so all-ones
+  // rates must reproduce the identical-clock trajectory exactly.
+  const std::uint64_t n = 512;
+  const CompleteGraph g(n);
+  const auto run_once = [&](std::span<const double> rates) {
+    Xoshiro256 rng(21);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    return run_heap_with_rates(proto, rng, rates, 1e5);
+  };
+  const auto ones = clock_rates::uniform(n);
+  const auto with_rates = run_once(ones);
+  const auto without = run_once({});
+  ASSERT_TRUE(without.consensus);
+  EXPECT_EQ(with_rates.time, without.time);
+  EXPECT_EQ(with_rates.ticks, without.ticks);
+  EXPECT_EQ(with_rates.consensus, without.consensus);
+  EXPECT_EQ(with_rates.winner, without.winner);
+}
+
+TEST(Heterogeneous, HorizonCutoffReportsMaxTime) {
+  // TickCounter never converges, so the run ends at the horizon and
+  // reports it, like every other engine.
+  const std::uint64_t n = 32;
+  TickCounter proto(n);
+  Xoshiro256 rng(22);
+  Xoshiro256 rate_rng(23);
+  const auto rates = clock_rates::log_normal(n, 1.0, rate_rng);
+  const auto result = run_heap_with_rates(proto, rng, rates, 7.5);
+  EXPECT_FALSE(result.consensus);
+  EXPECT_DOUBLE_EQ(result.time, 7.5);
 }
 
 TEST(ClockRates, TwoSpeedPreservesMeanRate) {
@@ -113,7 +158,7 @@ TEST(Heterogeneous, TwoChoicesStillConvergesUnderMildSkew) {
   const auto rates = clock_rates::log_normal(n, 0.3, rng);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
   const auto result =
-      run_continuous_heterogeneous(proto, rng, rates, 1e5);
+      run_heap_with_rates(proto, rng, rates, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
@@ -126,7 +171,7 @@ TEST(Heterogeneous, AsyncOEBSurvivesMildSkew) {
   auto proto = AsyncOneExtraBit<CompleteGraph>::make(
       g, assign_plurality_bias(n, 4, n / 4, rng));
   const auto result =
-      run_continuous_heterogeneous(proto, rng, rates, 1e5);
+      run_heap_with_rates(proto, rng, rates, 1e5);
   EXPECT_TRUE(result.consensus || proto.nodes_finished() == n);
   if (result.consensus) {
     EXPECT_EQ(result.winner, 0u);

@@ -10,7 +10,7 @@
 // perturbations drained at sharded epoch boundaries (crash_faults
 // --engine=sharded) — plus the per-cell sweeps (crash_faults,
 // late_adversary, recovery_injection, response_delays, topologies,
-// model_equivalence). This is the
+// model_equivalence, clock_skew's per-node-rate heap runs). This is the
 // executable form of the executor's determinism contract
 // (jobs/executor.hpp): RNG streams are keyed by (seed, sweep-point,
 // rep) — and, for sharded runs, by (seed, shards) — and every rep
@@ -165,6 +165,7 @@ TEST(SchedulingDeterminism, SweepInputsBitIdenticalAcrossJobsCounts) {
       {"topologies",
        {"--n=256", "--reps=2", "--horizon=100", "--seed=77", "--csv"}},
       {"model_equivalence", {"--n=128", "--reps=2", "--seed=77", "--csv"}},
+      {"clock_skew", {"--n=256", "--reps=2", "--seed=77", "--csv"}},
   };
   for (const auto& input : inputs) {
     const RunOutput reference = run_experiment(

@@ -10,12 +10,12 @@
 #include <limits>
 #include <vector>
 
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/latency.hpp"
+#include "query_messaging.hpp"
 #include "stat_gates.hpp"
 #include "support/assert.hpp"
 
@@ -167,8 +167,9 @@ TEST(LatencyDriver, FixedSeedIsDeterministicPerModel) {
   const CompleteGraph g(n);
   const auto run_once = [&](const LatencyModel& model, std::uint64_t seed) {
     Xoshiro256 rng(seed);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    return run_continuous_messaging(proto, model, rng, 1e5);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    QueryMessaging messaging(proto);
+    return run_continuous_messaging(messaging, model, rng, 1e5);
   };
 
   const ExponentialLatency expo(0.5);
@@ -187,15 +188,16 @@ TEST(LatencyDriver, FixedSeedIsDeterministicPerModel) {
 
 TEST(LatencyDriver, ZeroLatencyDrawsNoRngAndDeliversInstantly) {
   // With ZeroLatency every answer lands before the next tick, so the
-  // delayed protocol finishes in essentially the instant-protocol time
+  // query/apply run finishes in essentially the instant-protocol time
   // horizon (the distributional KS check lives in
   // test_model_equivalence.cpp).
   const std::uint64_t n = 256;
   const CompleteGraph g(n);
   const ZeroLatency zero;
   Xoshiro256 rng(11);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-  const auto result = run_continuous_messaging(proto, zero, rng, 1e5);
+  TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+  QueryMessaging messaging(proto);
+  const auto result = run_continuous_messaging(messaging, zero, rng, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
@@ -209,9 +211,10 @@ TEST(LatencyDriver, BlockingSuppressesTicksWhileQueryInFlight) {
   const CompleteGraph g(n);
   const ConstantLatency latency(1e6);
   Xoshiro256 rng(33);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, 40, rng),
-                               QueryDiscipline::kBlocking);
-  const auto result = run_continuous_messaging(proto, latency, rng, 50.0);
+  TwoChoicesAsync proto(g, assign_two_colors(n, 40, rng));
+  QueryMessaging messaging(proto, QueryDiscipline::kBlocking);
+  const auto result =
+      run_continuous_messaging(messaging, latency, rng, 50.0);
   EXPECT_FALSE(result.consensus);
   EXPECT_EQ(proto.table().support(0), 40u);
   EXPECT_EQ(proto.table().support(1), 24u);

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "graph/complete.hpp"
@@ -25,6 +24,7 @@
 #include "sim/latency.hpp"
 #include "sim/sequential_engine.hpp"
 #include "sim/sharded_engine.hpp"
+#include "query_messaging.hpp"
 #include "stat_gates.hpp"
 #include "stats/quantiles.hpp"
 
@@ -170,8 +170,8 @@ TEST(EngineEquivalence, ShardedQueuedMatchesMessagingUnderExpLatency) {
   // The PR 5 acceptance gate for the latency axis: the sharded
   // engine's per-shard delivery queues under the blocking discipline
   // sample the same process as the single-stream messaging driver
-  // running the delayed protocol variant, for a genuinely *random*
-  // latency model.
+  // running the same query/apply split (QueryMessaging), for a
+  // genuinely *random* latency model.
   const std::uint64_t n = 512;
   const CompleteGraph g(n);
   const ExponentialLatency latency(1.0);
@@ -182,9 +182,10 @@ TEST(EngineEquivalence, ShardedQueuedMatchesMessagingUnderExpLatency) {
   messaging_times.reserve(kReps);
   for (std::uint64_t rep = 0; rep < kReps; ++rep) {
     Xoshiro256 rng = msg_seeds.make_rng(rep);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng),
-                                 QueryDiscipline::kBlocking);
-    const auto result = run_continuous_messaging(proto, latency, rng, 1e6);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    QueryMessaging messaging(proto, QueryDiscipline::kBlocking);
+    const auto result =
+        run_continuous_messaging(messaging, latency, rng, 1e6);
     EXPECT_TRUE(result.consensus);
     messaging_times.push_back(result.time);
   }
@@ -210,12 +211,12 @@ TEST(EngineEquivalence, ShardedQueuedMatchesMessagingUnderExpLatency) {
 }
 
 TEST(EngineEquivalence, ZeroLatencyMessagingMatchesInstantEngines) {
-  // The latency-subsystem acceptance gate: the delayed Two-Choices
-  // protocol on the messaging driver under ZeroLatency samples the
-  // same process as the instant-response protocol on the plain
+  // The latency-subsystem acceptance gate: Two-Choices' query/apply
+  // split on the messaging driver under ZeroLatency samples the same
+  // process as the instant-response protocol on the plain
   // superposition and heap engines — an answer posted with zero delay
-  // is applied before the next tick, so the delayed run is the instant
-  // run with a different RNG-consumption order.
+  // is applied before the next tick, so the messaging run is the
+  // instant run with a different RNG-consumption order.
   const std::uint64_t n = 512;
   const CompleteGraph g(n);
   constexpr std::uint64_t kReps = 40;
@@ -226,8 +227,9 @@ TEST(EngineEquivalence, ZeroLatencyMessagingMatchesInstantEngines) {
   delayed_times.reserve(kReps);
   for (std::uint64_t rep = 0; rep < kReps; ++rep) {
     Xoshiro256 rng = seeds.make_rng(rep);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    const auto result = run_continuous_messaging(proto, zero, rng, 1e6);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    QueryMessaging messaging(proto);
+    const auto result = run_continuous_messaging(messaging, zero, rng, 1e6);
     EXPECT_TRUE(result.consensus);
     delayed_times.push_back(result.time);
   }

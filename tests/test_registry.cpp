@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -373,6 +374,30 @@ TEST(Registry, EndToEndRealExperimentProducesValidRecord) {
     EXPECT_TRUE(entry.find("mean")->is_number());
     EXPECT_TRUE(entry.find("stderr")->is_number());
   }
+}
+
+TEST(Registry, WarnsOnFlagsNoExperimentRead) {
+  // The experiment reads its copy of the Args, which shares the read
+  // set with the caller's, so the warning sees every read of the run —
+  // including reads inside sweep bodies on executor workers.
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* experiment = registry.find("quadratic_growth");
+  ASSERT_NE(experiment, nullptr);
+  const auto warnings_after_run = [&](const Args& args) {
+    ::testing::internal::CaptureStdout();
+    registry.run_to_record(*experiment, args);
+    ::testing::internal::GetCapturedStdout();
+    std::ostringstream os;
+    args.warn_unread(os);
+    return os.str();
+  };
+
+  EXPECT_EQ(warnings_after_run(make_args({"--reps=2", "--n=2048", "--csv",
+                                          "--jobs=2", "--bogus=3"})),
+            "warning: --bogus was not read by any experiment\n");
+  EXPECT_EQ(warnings_after_run(
+                make_args({"--reps=2", "--n=2048", "--csv", "--jobs=2"})),
+            "");
 }
 
 }  // namespace
